@@ -19,11 +19,9 @@ from .ensembles import (  # noqa: F401
     STUDENT_T5,
     UNIFORM,
     Ensemble,
-    EntryStream,
     SeedSpec,
     get_ensemble,
     sample_array,
-    sample_entry,
     sample_matrix,
     sample_vector,
 )
@@ -45,6 +43,7 @@ from .harness import (  # noqa: F401
     check_markov_sum_bound,
     distance_tail_experiment,
     fit_tail_model,
+    map_trials,
     median_scaling_report,
     run_tail_sweep,
     scaled_sn_samples,
@@ -56,6 +55,7 @@ from .linalg import (  # noqa: F401
     dist_to_subspace,
     dual_basis,
     inverse,
+    leave_one_out_distances,
     lu_solve,
     orthonormalize,
     project_onto,

@@ -26,12 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ensembles import GAUSSIAN, SeedSpec, get_ensemble, sample_array, sample_matrix
+from .ensembles import ENSEMBLES, GAUSSIAN, SeedSpec, get_ensemble, sample_array, sample_matrix
 from .errors import InvalidQuery, LsvError, SingularMatrix
 from .harness import (
+    MAX_WORKERS,
+    RESAMPLE_STRIDE,
     TailSweepConfig,
-    _parallel_chunks,
-    _resampled_trial,
+    map_trials,
     run_tail_sweep,
     write_tail_csv,
 )
@@ -67,15 +68,36 @@ def _pos_int(text: str) -> int:
     return v
 
 
-def _pos_float(text: str) -> float:
+def _trials(text: str) -> int:
+    v = _pos_int(text)
+    if v > RESAMPLE_STRIDE:
+        raise argparse.ArgumentTypeError("must not exceed 2**32 (resample stream layout)")
+    return v
+
+
+def _workers(text: str) -> int:
+    v = _pos_int(text)
+    if v > MAX_WORKERS:
+        raise argparse.ArgumentTypeError(f"must not exceed {MAX_WORKERS}")
+    return v
+
+
+def _finite_float(text: str) -> float:
     v = float(text)
+    if not np.isfinite(v):
+        raise argparse.ArgumentTypeError("must be a finite real")
+    return v
+
+
+def _pos_float(text: str) -> float:
+    v = _finite_float(text)
     if not v > 0:
         raise argparse.ArgumentTypeError("must be a positive real")
     return v
 
 
 def _nonneg_float(text: str) -> float:
-    v = float(text)
+    v = _finite_float(text)
     if not v >= 0:
         raise argparse.ArgumentTypeError("must be a nonnegative real")
     return v
@@ -90,12 +112,15 @@ def _gamma01(text: str) -> float:
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part != ""]
+        values = [float(part) for part in text.split(",") if part != ""]
     except ValueError:
         raise argparse.ArgumentTypeError("expected comma-separated reals") from None
+    if not all(np.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError("expected finite reals")
+    return values
 
 
-_ENSEMBLE_NAMES = ("gaussian", "rademacher", "student_t5", "uniform")
+_ENSEMBLE_NAMES = sorted(ENSEMBLES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,20 +138,20 @@ def build_parser() -> argparse.ArgumentParser:
                       required=True, help="matrix dimension, repeatable")
     tail.add_argument("--k", dest="k_values", metavar="K", type=_nonneg_float, action="append",
                       required=True, help="threshold K (upper) or eps (lower), repeatable")
-    tail.add_argument("--trials", type=_pos_int, required=True)
+    tail.add_argument("--trials", type=_trials, required=True)
     tail.add_argument("--seed", type=_uint64, default=0)
     tail.add_argument("--direction", choices=("upper", "lower"), default="upper")
-    tail.add_argument("--workers", type=_pos_int, default=1)
+    tail.add_argument("--workers", type=_workers, default=1)
     tail.add_argument("--out", required=True, help="CSV output path")
 
     wit = sub.add_parser("witness", help="per-trial witness-system audits, JSON output")
     wit.add_argument("--ensemble", choices=_ENSEMBLE_NAMES, required=True)
     wit.add_argument("--n", type=_dim, required=True)
-    wit.add_argument("--trials", type=_pos_int, required=True)
+    wit.add_argument("--trials", type=_trials, required=True)
     wit.add_argument("--seed", type=_uint64, default=0)
     wit.add_argument("--column", type=_pos_int, default=1,
                      help="distinguished column, 1-based (default 1)")
-    wit.add_argument("--workers", type=_pos_int, default=1)
+    wit.add_argument("--workers", type=_workers, default=1)
     wit.add_argument("--out", required=True, help="JSON output path")
 
     lcd = sub.add_parser("lcd", help="least common denominator search, JSON output")
@@ -187,26 +212,20 @@ def _write_data_json(path: Path, doc) -> None:
 
 
 # ---- command runners -----------------------------------------------------
-# A runner gets the resolved parameter dict (from flags or from a replayed
-# manifest), appends every path it creates to `created` so failures can be
-# cleaned up, and returns (exit_code, extra manifest fields).
-
-def _ensemble_from(params) -> "Ensemble":
-    try:
-        return get_ensemble(str(params["ensemble"]))
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-
+# A runner gets the parameter dict built from parsed flags (a replayed
+# manifest is parsed as flags too), appends every path it creates to
+# `created` so failures can be cleaned up, and returns (exit_code, extra
+# manifest fields).
 
 def _run_tail(params: dict, created: list) -> tuple[int, dict]:
     cfg = TailSweepConfig(
-        ensemble=_ensemble_from(params),
-        n_values=tuple(int(v) for v in params["n_values"]),
-        k_values=tuple(float(v) for v in params["k_values"]),
-        trials=int(params["trials"]),
-        master_seed=int(params["seed"]),
-        direction=str(params["direction"]),
-        workers=int(params.get("workers", 1)),
+        ensemble=get_ensemble(params["ensemble"]),
+        n_values=tuple(params["n_values"]),
+        k_values=tuple(params["k_values"]),
+        trials=params["trials"],
+        master_seed=params["seed"],
+        direction=params["direction"],
+        workers=params["workers"],
     )
     estimates = run_tail_sweep(cfg)
     out = Path(params["out"])
@@ -219,14 +238,11 @@ def _run_tail(params: dict, created: list) -> tuple[int, dict]:
 
 
 def _run_witness(params: dict, created: list) -> tuple[int, dict]:
-    ens = _ensemble_from(params)
-    n = int(params["n"])
-    trials = int(params["trials"])
-    seed = int(params["seed"])
-    column_flag = int(params["column"])
-    if not 1 <= column_flag <= n:
-        raise UsageError(f"--column must lie in [1, {n}], got {column_flag}")
-    column = column_flag - 1
+    ens = get_ensemble(params["ensemble"])
+    n = params["n"]
+    if not 1 <= params["column"] <= n:
+        raise UsageError(f"--column must lie in [1, {n}], got {params['column']}")
+    column = params["column"] - 1
 
     def compute(sd: SeedSpec):
         m = sample_matrix(ens, n, sd)
@@ -235,18 +251,7 @@ def _run_witness(params: dict, created: list) -> tuple[int, dict]:
         except SingularMatrix:
             return None
 
-    def worker(t0: int, t1: int):
-        reports = []
-        sing = 0
-        for t in range(t0, t1):
-            rep, r = _resampled_trial(compute, seed, t)
-            reports.append(rep)
-            sing += r
-        return reports, sing
-
-    parts = _parallel_chunks(worker, trials, int(params.get("workers", 1)))
-    reports = [rep for part in parts for rep in part[0]]
-    singular = sum(part[1] for part in parts)
+    reports, singular = map_trials(compute, params["trials"], params["seed"], params["workers"])
     out = Path(params["out"])
     created.append(out)
     _write_data_json(out, [rep.to_json_dict() for rep in reports])
@@ -256,18 +261,16 @@ def _run_witness(params: dict, created: list) -> tuple[int, dict]:
 
 
 def _run_lcd(params: dict, created: list) -> tuple[int, dict]:
-    gamma = float(params["gamma"])
-    theta_max = float(params["theta_max"])
-    grid_step = params.get("grid_step")
-    grid_step = None if grid_step is None else float(grid_step)
-    mode = str(params["mode"])
+    gamma = params["gamma"]
+    theta_max = params["theta_max"]
+    grid_step = params["grid_step"]
 
-    if mode == "vector":
-        vec = np.asarray([float(v) for v in params["vector"]], dtype=np.float64)
-        if vec.size == 0 or float(np.linalg.norm(vec)) == 0.0:
+    if params["mode"] == "vector":
+        vec = np.asarray(params["vector"], dtype=np.float64)
+        if vec.size == 0:
             raise UsageError("--vector must be a nonzero vector")
-        alpha = params.get("alpha")
-        alpha = default_alpha(vec.size) if alpha is None else float(alpha)
+        alpha = params["alpha"]
+        alpha = default_alpha(vec.size) if alpha is None else alpha
         params["alpha"] = alpha
         query = LcdQuery(alpha=alpha, gamma=gamma, theta_max=theta_max, grid_step=grid_step)
         res = lcd_vector(vec, query)
@@ -284,15 +287,15 @@ def _run_lcd(params: dict, created: list) -> tuple[int, dict]:
             "slack": res.slack,
             "certificate": None if res.certificate is None else res.certificate.tolist(),
         }
-    elif mode == "subspace":
-        n = int(params["n"])
-        dim = int(params["subspace_dim"])
+    else:
+        n = params["n"]
+        dim = params["subspace_dim"]
         if not 1 <= dim <= n:
             raise UsageError(f"--subspace-dim must lie in [1, {n}], got {dim}")
-        seed = int(params["seed"])
-        samples = int(params["samples"])
-        alpha = params.get("alpha")
-        alpha = default_alpha(n) if alpha is None else float(alpha)
+        seed = params["seed"]
+        samples = params["samples"]
+        alpha = params["alpha"]
+        alpha = default_alpha(n) if alpha is None else alpha
         params["alpha"] = alpha
         query = LcdQuery(alpha=alpha, gamma=gamma, theta_max=theta_max, grid_step=grid_step)
         # stream 0 builds the subspace, stream 1 drives direction sampling
@@ -316,8 +319,6 @@ def _run_lcd(params: dict, created: list) -> tuple[int, dict]:
             "certificate": None if res.certificate is None else res.certificate.tolist(),
             "direction": None if res.direction is None else res.direction.tolist(),
         }
-    else:
-        raise UsageError(f"unknown lcd mode {mode!r}")
 
     out = Path(params["out"])
     created.append(out)
@@ -326,16 +327,15 @@ def _run_lcd(params: dict, created: list) -> tuple[int, dict]:
 
 
 def _run_smallball(params: dict, created: list) -> tuple[int, dict]:
-    ens = _ensemble_from(params)
-    raw = np.asarray([float(v) for v in params["weights"]], dtype=np.float64)
+    ens = get_ensemble(params["ensemble"])
+    raw = np.asarray(params["weights"], dtype=np.float64)
     norm = float(np.linalg.norm(raw))
     if raw.size == 0 or norm == 0.0:
         raise UsageError("--weights must be a nonzero vector")
     weights = raw / norm
-    epsilon = float(params["epsilon"])
-    trials = int(params["trials"])
-    seed = int(params["seed"])
-    est = small_ball_estimate(weights, ens, epsilon, trials, SeedSpec(seed, 0))
+    seed = params["seed"]
+    est = small_ball_estimate(weights, ens, params["epsilon"], params["trials"],
+                              SeedSpec(seed, 0))
     doc = {
         "weights": weights.tolist(),
         "ensemble": ens.kind,
@@ -436,11 +436,7 @@ def _execute(command: str, params: dict) -> int:
         manifest_path = Path(str(params["out"]) + ".manifest.json")
         created.append(manifest_path)
         _write_json(manifest_path, manifest)
-    except UsageError as e:
-        _cleanup(created)
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except InvalidQuery as e:
+    except (UsageError, InvalidQuery) as e:
         _cleanup(created)
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -449,6 +445,29 @@ def _execute(command: str, params: dict) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return code
+
+
+# manifest parameters whose flag repeats once per list element
+_REPEATED_FLAGS = {"n_values": "--n", "k_values": "--k"}
+
+
+def _replay_argv(command: str, params: dict) -> list[str]:
+    """The command line a manifest's parameters were built from.
+
+    Floats print with repr, which parses back to the same double, so a
+    replay sees exactly the recorded values.
+    """
+    argv = [command]
+    for key, value in params.items():
+        if value is None or key == "mode":
+            continue  # None is an unset default; the lcd mode follows from the flags
+        if key in _REPEATED_FLAGS and isinstance(value, list):
+            argv += [f"{_REPEATED_FLAGS[key]}={v}" for v in value]
+            continue
+        if key in ("vector", "weights") and isinstance(value, list):
+            value = ",".join(str(v) for v in value)
+        argv.append(f"--{key.replace('_', '-')}={value}")
+    return argv
 
 
 def main(argv=None) -> int:
@@ -462,12 +481,15 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as e:
             print(f"error: cannot read manifest: {e}", file=sys.stderr)
             return 2
+        if not isinstance(manifest, dict):
+            manifest = {}
         command = manifest.get("command")
         params = manifest.get("parameters")
-        if command not in _RUNNERS or not isinstance(params, dict):
+        if not isinstance(command, str) or command not in _RUNNERS or not isinstance(params, dict):
             print("error: manifest is missing a valid command/parameters block", file=sys.stderr)
             return 2
-        return _execute(command, params)
+        # parsed like a command line, so a replay is validated like one
+        args = parser.parse_args(_replay_argv(command, params))
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2

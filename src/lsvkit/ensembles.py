@@ -186,30 +186,3 @@ def sample_vector(ensemble: Ensemble, n: int, seed: SeedSpec) -> np.ndarray:
         raise InvalidDimension(f"vector dimension must be >= 1, got {n}")
     return sample_array(ensemble, (n,), seed)
 
-
-class EntryStream:
-    """Stateful cursor over one stream's entry sequence.
-
-    take(k) returns the next k entries; the result only depends on the
-    cumulative number of entries consumed, so interleaving take() calls
-    of different sizes cannot change values.
-    """
-
-    def __init__(self, ensemble: Ensemble, seed: SeedSpec):
-        self.ensemble = ensemble
-        self.seed = seed
-        self._pos = 0
-
-    @property
-    def position(self) -> int:
-        return self._pos
-
-    def take(self, count: int) -> np.ndarray:
-        out = sample_array(self.ensemble, (count,), self.seed, entry_offset=self._pos)
-        self._pos += count
-        return out
-
-
-def sample_entry(stream: EntryStream) -> float:
-    """Next single entry of the stream (convenience wrapper over take)."""
-    return float(stream.take(1)[0])

@@ -40,6 +40,7 @@ from .stats import wilson_interval
 
 RESAMPLE_STRIDE = 1 << 32
 _MAX_RESAMPLE_ROUNDS = 64
+MAX_WORKERS = 64
 
 DIST_THRESHOLDS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
@@ -54,40 +55,44 @@ def fmt_g10(x: float) -> str:
     return format(float(x), ".10g")
 
 
-def _resampled_trial(compute, master_seed: int, trial: int):
-    """Run compute(seed) for trial, resampling degenerate draws.
+def map_trials(compute, trials: int, master_seed: int, workers: int = 1) -> tuple[list, int]:
+    """compute(seed) for every trial of a run; returns (values by trial, rejected draws).
 
-    compute returns None to reject a draw.  Returns (value, rounds
-    rejected).  Round r uses stream r * RESAMPLE_STRIDE + trial, so
-    resampling never collides with other trials' streams.
+    compute returns None to reject a draw.  Trial t first draws from
+    stream t of master_seed; rejection round r uses stream
+    r * RESAMPLE_STRIDE + t, so resampling never collides with other
+    trials' streams.  workers only partitions range(trials) into chunks
+    run on a thread pool, so it never changes a value.
     """
-    for r in range(_MAX_RESAMPLE_ROUNDS):
-        value = compute(SeedSpec(master_seed, r * RESAMPLE_STRIDE + trial))
-        if value is not None:
-            return value, r
-    raise RuntimeError(f"trial {trial}: {_MAX_RESAMPLE_ROUNDS} degenerate draws in a row")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if trials > RESAMPLE_STRIDE:
+        raise ValueError("trials must not exceed 2**32 (resample stream layout)")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must not exceed {MAX_WORKERS}, got {workers}")
 
+    def run_chunk(t0: int, t1: int):
+        values = []
+        rejected = 0
+        for t in range(t0, t1):
+            for r in range(_MAX_RESAMPLE_ROUNDS):
+                value = compute(SeedSpec(master_seed, r * RESAMPLE_STRIDE + t))
+                if value is not None:
+                    break
+            else:
+                raise RuntimeError(f"trial {t}: {_MAX_RESAMPLE_ROUNDS} degenerate draws in a row")
+            values.append(value)
+            rejected += r
+        return values, rejected
 
-def _parallel_chunks(worker, trials: int, workers: int) -> list:
-    """worker(t0, t1) over a fixed partition of range(trials), chunk order kept.
-
-    Values may not depend on the partition; workers only changes how the
-    identical per-trial computations are scheduled.
-    """
     if workers <= 1 or trials <= 1:
-        return [worker(0, trials)]
-    chunk = max(1, math.ceil(trials / (workers * 4)))
-    ranges = [(s, min(s + chunk, trials)) for s in range(0, trials, chunk)]
+        return run_chunk(0, trials)
+    chunk = math.ceil(trials / (workers * 4))
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        futures = [ex.submit(worker, s, e) for s, e in ranges]
-        return [f.result() for f in futures]
-
-
-def _sn_value(ensemble: Ensemble, n: int):
-    def compute(seed: SeedSpec):
-        s = smallest_singular_value(sample_matrix(ensemble, n, seed))
-        return s if s > 0.0 else None
-    return compute
+        futures = [ex.submit(run_chunk, s, min(s + chunk, trials))
+                   for s in range(0, trials, chunk)]
+        parts = [f.result() for f in futures]
+    return [v for values, _ in parts for v in values], sum(r for _, r in parts)
 
 
 def scaled_sn_samples(ensemble: Ensemble, n: int, trials: int, master_seed: int,
@@ -95,24 +100,13 @@ def scaled_sn_samples(ensemble: Ensemble, n: int, trials: int, master_seed: int,
     """sqrt(n) * s_n over trials streams; returns (values by trial, singular_count)."""
     if n < 2:
         raise InvalidDimension(f"n must be >= 2, got {n}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if trials > RESAMPLE_STRIDE:
-        raise ValueError("trials must not exceed 2**32 (resample stream layout)")
-    compute = _sn_value(ensemble, n)
 
-    def worker(t0: int, t1: int):
-        vals = np.empty(t1 - t0)
-        sing = 0
-        for t in range(t0, t1):
-            v, r = _resampled_trial(compute, master_seed, t)
-            vals[t - t0] = v
-            sing += r
-        return vals, sing
+    def compute(seed: SeedSpec):
+        s = smallest_singular_value(sample_matrix(ensemble, n, seed))
+        return s if s > 0.0 else None
 
-    parts = _parallel_chunks(worker, trials, workers)
-    values = np.concatenate([p[0] for p in parts]) * np.sqrt(n)
-    return values, sum(p[1] for p in parts)
+    values, singular = map_trials(compute, trials, master_seed, workers)
+    return np.array(values) * np.sqrt(n), singular
 
 
 @dataclass(frozen=True)
@@ -244,8 +238,6 @@ def distance_tail_experiment(ensemble: Ensemble, n: int, trials: int, master_see
     """
     if n < 2:
         raise InvalidDimension(f"n must be >= 2, got {n}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
 
     def compute(seed: SeedSpec):
         m = sample_matrix(ensemble, n, seed)
@@ -255,21 +247,12 @@ def distance_tail_experiment(ensemble: Ensemble, n: int, trials: int, master_see
             return None
         return dist_to_subspace(m[:, 0], basis)
 
-    def worker(t0: int, t1: int):
-        vals = np.empty(t1 - t0)
-        sing = 0
-        for t in range(t0, t1):
-            v, r = _resampled_trial(compute, master_seed, t)
-            vals[t - t0] = v
-            sing += r
-        return vals, sing
-
-    parts = _parallel_chunks(worker, trials, workers)
-    samples = np.concatenate([p[0] for p in parts])
+    values, singular = map_trials(compute, trials, master_seed, workers)
+    samples = np.array(values)
     tail = tuple((u, float(np.count_nonzero(samples > u)) / trials) for u in DIST_THRESHOLDS)
     return DistanceTailReport(ensemble=ensemble.kind, n=n, trials=trials,
                               master_seed=master_seed, samples=samples, tail=tail,
-                              singular_count=sum(p[1] for p in parts))
+                              singular_count=singular)
 
 
 def check_markov_sum_bound(distribution, n: int, epsilon: float) -> tuple[float, float]:

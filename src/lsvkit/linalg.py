@@ -56,23 +56,6 @@ def as_square(a) -> np.ndarray:
     return out
 
 
-def _lu_factor_checked(a: np.ndarray):
-    """LU with partial pivoting plus the singularity test. Returns (lu, piv)."""
-    col_norms = np.linalg.norm(a, axis=0)
-    scale = float(col_norms.max()) if col_norms.size else 0.0
-    if scale == 0.0:
-        raise SingularMatrix("matrix has no nonzero column")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy warns on exact zero pivots; we raise instead
-        lu, piv = sla.lu_factor(a, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() < PIVOT_RTOL * scale:
-        raise SingularMatrix(
-            f"pivot {pivots.min():.3e} below threshold {PIVOT_RTOL * scale:.3e}"
-        )
-    return lu, piv
-
-
 @dataclass(frozen=True)
 class LuFactorization:
     """Reusable pivoted LU factors of a matrix that passed the pivot test."""
@@ -91,8 +74,24 @@ class LuFactorization:
 
 
 def lu_factorization(a) -> LuFactorization:
+    """LU with partial pivoting plus the module's singularity test.
+
+    Every routine here that needs invertibility goes through this one.
+    """
     m = as_square(a)
-    return LuFactorization(dim=m.shape[0], _factors=_lu_factor_checked(m))
+    col_norms = np.linalg.norm(m, axis=0)
+    scale = float(col_norms.max()) if col_norms.size else 0.0
+    if scale == 0.0:
+        raise SingularMatrix("matrix has no nonzero column")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on exact zero pivots; we raise instead
+        lu, piv = sla.lu_factor(m, check_finite=False)
+    pivots = np.abs(np.diag(lu))
+    if pivots.min() < PIVOT_RTOL * scale:
+        raise SingularMatrix(
+            f"pivot {pivots.min():.3e} below threshold {PIVOT_RTOL * scale:.3e}"
+        )
+    return LuFactorization(dim=m.shape[0], _factors=(lu, piv))
 
 
 def lu_solve(a, b) -> np.ndarray:
@@ -101,23 +100,16 @@ def lu_solve(a, b) -> np.ndarray:
     Raises SingularMatrix per the module pivot policy, NonSquare /
     DimensionMismatch on shape violations.
     """
-    m = as_square(a)
-    v = as_vector(b)
-    if v.shape[0] != m.shape[0]:
-        raise DimensionMismatch(f"rhs has dim {v.shape[0]}, matrix is {m.shape[0]}x{m.shape[0]}")
-    fac = _lu_factor_checked(m)
-    return sla.lu_solve(fac, v, check_finite=False)
+    return lu_factorization(a).solve(as_vector(b))
 
 
 def inverse(a) -> np.ndarray:
-    m = as_square(a)
-    fac = _lu_factor_checked(m)
-    return sla.lu_solve(fac, np.eye(m.shape[0]), check_finite=False)
+    return lu_factorization(a).inverse()
 
 
 def is_singular(a) -> bool:
     try:
-        _lu_factor_checked(as_square(a))
+        lu_factorization(a)
     except SingularMatrix:
         return True
     return False
@@ -125,12 +117,11 @@ def is_singular(a) -> bool:
 
 def smallest_singular_value(a) -> float:
     """min_{||x||=1} ||A x||_2; returns 0.0 when the pivot test flags A singular."""
-    m = as_square(a)
     try:
-        _lu_factor_checked(m)
+        lu_factorization(a)  # validates a
     except SingularMatrix:
         return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[-1])
+    return float(np.linalg.svd(np.asarray(a, dtype=np.float64), compute_uv=False)[-1])
 
 
 @dataclass(frozen=True)
@@ -217,6 +208,24 @@ def dist_to_subspace(v, basis: OrthonormalBasis) -> float:
     return float(np.linalg.norm(w - project_onto(basis, w)))
 
 
+def leave_one_out_distances(cols) -> np.ndarray:
+    """dist(column k, span of the other columns) for every column k of an (n, m) matrix.
+
+    The span of no columns is {0}, so a single column's distance is its norm.
+    """
+    m = as_matrix(cols)
+    n, k = m.shape
+    out = np.empty(k)
+    for j in range(k):
+        others = np.delete(m, j, axis=1)
+        if others.shape[1]:
+            basis = orthonormalize(others)
+        else:
+            basis = OrthonormalBasis(ambient_dim=n, vectors=np.empty((0, n)))
+        out[j] = dist_to_subspace(m[:, j], basis)
+    return out
+
+
 @dataclass(frozen=True)
 class BiorthogonalSystem:
     """Primal rows X_k (columns of A) and dual rows X_k* (rows of A^{-1}).
@@ -244,13 +253,7 @@ class BiorthogonalSystem:
 
     def norm_distance_products(self) -> np.ndarray:
         """||X_k*|| * dist(X_k, span_{j != k} X_j) for every k; all should be 1."""
-        n = self.ambient_dim
-        out = np.empty(n)
-        for k in range(n):
-            others = np.delete(self.primal, k, axis=0).T
-            d = dist_to_subspace(self.primal[k], orthonormalize(others))
-            out[k] = np.linalg.norm(self.dual[k]) * d
-        return out
+        return np.linalg.norm(self.dual, axis=1) * leave_one_out_distances(self.primal.T)
 
 
 def dual_basis(a) -> BiorthogonalSystem:

@@ -33,6 +33,7 @@ DEFAULT_GAMMA = 0.5
 DEFAULT_THETA_MAX = 1e4
 BISECTION_TOL = 1e-10
 UNIT_NORM_TOL = 1e-10
+LCD_GRID_BUDGET = 10_000_000
 
 _SCAN_CHUNK = 1 << 16
 
@@ -124,13 +125,18 @@ def lcd_vector(a, q: LcdQuery) -> LcdResult:
     Scans the grid k*step in order (chunked; the reduction is a minimum,
     so partitioning cannot change the answer), then bisects between the
     first admissible grid point and its non-admissible predecessor down
-    to BISECTION_TOL.
+    to BISECTION_TOL.  A grid longer than LCD_GRID_BUDGET points is
+    rejected with InvalidQuery instead of scanned.
     """
     vec = as_vector(a)
-    a_norm = float(np.linalg.norm(vec))
-    if a_norm == 0.0:
-        raise InvalidQuery("direction must be nonzero")
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected just below
+        a_norm = float(np.linalg.norm(vec))
+    if not 0.0 < a_norm < np.inf:
+        raise InvalidQuery(f"direction must be nonzero with a finite norm, got norm {a_norm}")
     step = q.resolved_step(a_norm)
+    if q.theta_max / step > LCD_GRID_BUDGET:
+        raise InvalidQuery(
+            f"theta_max/step = {q.theta_max / step:.3e} grid points exceeds budget {LCD_GRID_BUDGET}")
 
     n_pts = int(np.floor(q.theta_max / step))
     hit = None

@@ -31,6 +31,7 @@ from .linalg import (
     OrthonormalBasis,
     as_square,
     dist_to_subspace,
+    leave_one_out_distances,
     lu_factorization,
     orthonormalize,
     project_onto,
@@ -55,13 +56,6 @@ def _validated(a, column: int):
         raise DimensionMismatch(f"column {column} out of range for n = {n}")
     others = [k for k in range(n) if k != column]
     return m, n, others
-
-
-def _span_basis(cols: np.ndarray) -> OrthonormalBasis:
-    # empty column sets span {0}
-    if cols.shape[1] == 0:
-        return OrthonormalBasis(ambient_dim=cols.shape[0], vectors=np.empty((0, cols.shape[0])))
-    return orthonormalize(cols)
 
 
 def construct_witness_vector(a, column: int = 0) -> np.ndarray:
@@ -112,20 +106,13 @@ def dual_projections(a, column: int = 0) -> np.ndarray:
     return _witness_state(a, column).projected_duals
 
 
-def _residual_distance(v: np.ndarray, cols: np.ndarray) -> float:
-    return dist_to_subspace(v, _span_basis(cols))
-
-
 def _ab_from_state(st: _WitnessState) -> tuple[np.ndarray, np.ndarray]:
     y_norms = np.linalg.norm(st.projected_duals, axis=1)
     if y_norms.size and y_norms.min() <= DEGENERATE_EPS:
         raise DegenerateGeometry(f"projected dual norm {y_norms.min():.3e} below trust threshold")
     xc = st.matrix[:, st.column]
     a_vals = np.abs(st.projected_duals @ xc) / y_norms
-    b_vals = np.empty(len(st.others))
-    for i, k in enumerate(st.others):
-        cols = np.delete(st.matrix, [st.column, k], axis=1)
-        b_vals[i] = _residual_distance(st.matrix[:, k], cols)
+    b_vals = leave_one_out_distances(st.matrix[:, st.others])
     if b_vals.size and b_vals.min() <= DEGENERATE_EPS:
         raise DegenerateGeometry(f"column distance {b_vals.min():.3e} below trust threshold")
     return a_vals, b_vals

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from lsvkit.ensembles import RADEMACHER, SeedSpec
+from lsvkit.harness import MAX_WORKERS
 from lsvkit.structure import small_ball_estimate
 
 
@@ -67,6 +68,25 @@ def test_replay_reproduces_data_file_byte_for_byte(tmp_path):
     r = run_cli("--replay", tmp_path / "tail.csv.manifest.json")
     assert r.returncode == 0, r.stderr
     assert out.read_bytes() == original.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "--ensemble", "rademacher", "--n", 3, "--trials", 5, "--seed", 2,
+     "--column", 2, "--workers", 2],
+    ["lcd", "--vector=-0.3,1.7", "--gamma", 0.3, "--theta-max", 40],
+    ["lcd", "--subspace-dim", 2, "--n", 5, "--samples", 2, "--seed", 4, "--theta-max", 30],
+    ["smallball", "--weights", "1,-2.5", "--ensemble", "uniform", "--epsilon", 0.3,
+     "--trials", 500, "--seed", 8],
+], ids=["witness", "lcd-vector", "lcd-subspace", "smallball"])
+def test_replay_reproduces_every_command(tmp_path, argv):
+    out = tmp_path / "data.json"
+    r = run_cli(*argv, "--out", out)
+    assert r.returncode == 0, r.stderr
+    original = out.read_bytes()
+    out.unlink()
+    r = run_cli("--replay", tmp_path / "data.json.manifest.json")
+    assert r.returncode == 0, r.stderr
+    assert out.read_bytes() == original
 
 
 # ---- witness ---------------------------------------------------------------
@@ -138,7 +158,16 @@ def test_smallball_json_matches_library(tmp_path):
 
 # ---- exit codes and cleanup ---------------------------------------------------
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(tmp_path, tmp_path_factory):
+    manifests = tmp_path_factory.mktemp("manifests")
+    missing_key = manifests / "missing_key.manifest.json"
+    missing_key.write_text(json.dumps({"command": "tail", "parameters": {
+        "ensemble": "gaussian", "n_values": [4], "k_values": [1.0], "seed": 0,
+        "direction": "upper", "workers": 1, "out": str(tmp_path / "m.csv")}}))
+    wrong_type = manifests / "wrong_type.manifest.json"
+    wrong_type.write_text(json.dumps({"command": "witness", "parameters": {
+        "ensemble": "gaussian", "n": [5], "trials": 2, "seed": 0, "column": 1,
+        "workers": 1, "out": str(tmp_path / "n.json")}}))
     cases = [
         # missing --out
         ["tail", "--ensemble", "gaussian", "--n", "4", "--k", "1", "--trials", "5"],
@@ -162,10 +191,33 @@ def test_usage_errors_exit_2(tmp_path):
         [],
         # replay of a nonexistent manifest
         ["--replay", str(tmp_path / "missing.manifest.json")],
+        # replayed manifests are validated like flags
+        ["--replay", str(missing_key)],
+        ["--replay", str(wrong_type)],
+        # non-finite reals
+        ["tail", "--ensemble", "gaussian", "--n", "4", "--k", "inf", "--trials", "5",
+         "--out", str(tmp_path / "g.csv")],
+        ["smallball", "--weights", "1,1", "--ensemble", "gaussian", "--epsilon", "inf",
+         "--trials", "5", "--out", str(tmp_path / "h.json")],
+        ["lcd", "--vector", "nan,1", "--out", str(tmp_path / "i.json")],
+        ["lcd", "--vector", "1,0", "--theta-max", "inf", "--out", str(tmp_path / "j.json")],
+        # direction norm overflows to inf
+        ["lcd", "--vector", "1e300,1e300", "--out", str(tmp_path / "k.json")],
+        # 1e15 grid points, over the LCD grid budget
+        ["lcd", "--vector", "1,0", "--grid-step", "1e-9", "--theta-max", "1e6",
+         "--out", str(tmp_path / "l.json")],
+        # more trials than the resample stream layout holds
+        ["witness", "--ensemble", "gaussian", "--n", "4", "--trials", str(2**32 + 1),
+         "--out", str(tmp_path / "o.json")],
+        # more worker threads than MAX_WORKERS
+        ["tail", "--ensemble", "gaussian", "--n", "4", "--k", "1", "--trials", "5",
+         "--workers", str(MAX_WORKERS + 1), "--out", str(tmp_path / "m.csv")],
     ]
     for argv in cases:
         r = run_cli(*argv)
         assert r.returncode == 2, (argv, r.stderr)
+        assert "Traceback" not in r.stderr, (argv, r.stderr)
+        assert not argv or "error:" in r.stderr, (argv, r.stderr)
     assert list(tmp_path.iterdir()) == []  # nothing may be left behind
 
 

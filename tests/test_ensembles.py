@@ -11,11 +11,9 @@ from lsvkit.ensembles import (
     RADEMACHER,
     STUDENT_T5,
     UNIFORM,
-    EntryStream,
     SeedSpec,
     get_ensemble,
     sample_array,
-    sample_entry,
     sample_matrix,
     sample_vector,
     uniform_stream,
@@ -88,15 +86,6 @@ def test_chunked_generation_matches_full_stream(offset, count, kind):
     full = sample_array(ens, (offset + count,), sd)
     part = sample_array(ens, (count,), sd, entry_offset=offset)
     assert np.array_equal(full[offset:offset + count], part)
-
-
-def test_entry_stream_matches_block_sampling():
-    sd = SeedSpec(3, 14)
-    stream = EntryStream(STUDENT_T5, sd)
-    picked = [sample_entry(stream), sample_entry(stream)]
-    picked.extend(stream.take(5).tolist())
-    assert stream.position == 7
-    assert picked == sample_array(STUDENT_T5, (7,), sd).tolist()
 
 
 def test_dimension_validation():

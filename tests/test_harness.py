@@ -9,6 +9,8 @@ from lsvkit.ensembles import GAUSSIAN, RADEMACHER, SeedSpec, sample_matrix
 from lsvkit.errors import EnumerationTooLarge, InsufficientData, InvalidDimension
 from lsvkit.harness import (
     DIST_THRESHOLDS,
+    MAX_WORKERS,
+    RESAMPLE_STRIDE,
     TAIL_CSV_HEADER,
     TailEstimate,
     TailSweepConfig,
@@ -16,6 +18,7 @@ from lsvkit.harness import (
     distance_tail_experiment,
     fit_tail_model,
     fmt_g10,
+    map_trials,
     median_scaling_report,
     run_tail_sweep,
     scaled_sn_samples,
@@ -55,6 +58,40 @@ def test_sample_validation():
         scaled_sn_samples(GAUSSIAN, 4, 0, 0)
     with pytest.raises(ValueError):
         scaled_sn_samples(GAUSSIAN, 4, 2**32 + 1, 0)
+
+
+# ---- map_trials -------------------------------------------------------------
+
+def _reject_even_first_draws(seed):
+    # value = the accepting stream; round 0 of every even trial is rejected
+    trial, rnd = seed.stream_index % RESAMPLE_STRIDE, seed.stream_index // RESAMPLE_STRIDE
+    return None if rnd == 0 and trial % 2 == 0 else seed.stream_index
+
+
+def test_map_trials_order_and_resample_accounting():
+    expected = [RESAMPLE_STRIDE + t if t % 2 == 0 else t for t in range(37)]
+    for workers in (1, 3, 7):
+        values, rejected = map_trials(_reject_even_first_draws, 37, 5, workers)
+        assert values == expected
+        assert rejected == 19  # even trials in range(37)
+
+
+def test_map_trials_bounds():
+    calls = []
+
+    def compute(seed):
+        calls.append(seed)
+        return 0.0
+
+    with pytest.raises(ValueError):
+        map_trials(compute, 0, 0)
+    with pytest.raises(ValueError):
+        map_trials(compute, RESAMPLE_STRIDE + 1, 0)
+    with pytest.raises(ValueError):
+        map_trials(compute, 10, 0, workers=MAX_WORKERS + 1)
+    assert calls == []  # every bound is checked before any trial runs
+    with pytest.raises(RuntimeError):
+        map_trials(lambda seed: None, 1, 0)
 
 
 # ---- run_tail_sweep ---------------------------------------------------------

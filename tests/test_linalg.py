@@ -21,6 +21,7 @@ from lsvkit.linalg import (
     dual_basis,
     inverse,
     is_singular,
+    leave_one_out_distances,
     lu_factorization,
     lu_solve,
     orthonormalize,
@@ -37,7 +38,20 @@ def _vector(seed, n=6):
     return sample_array(GAUSSIAN, (n,), SeedSpec(seed, 1))
 
 
-# ---- lu_solve -------------------------------------------------------------
+# ---- leave_one_out_distances -----------------------------------------------
+
+def test_leave_one_out_distances_match_inverse_row_norms():
+    # for invertible A, dist(column k, span of the others) = 1 / ||row k of A^{-1}||
+    a = _matrix(21, n=7)
+    expected = 1.0 / np.linalg.norm(inverse_cofactor(a), axis=1)
+    assert np.allclose(leave_one_out_distances(a), expected, rtol=1e-10, atol=0.0)
+
+
+def test_leave_one_out_distances_of_one_column_is_its_norm():
+    col = np.array([[3.0], [4.0]])
+    assert leave_one_out_distances(col).tolist() == [5.0]
+
+
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_lu_solve_matches_cofactor_oracle(seed):

@@ -96,6 +96,16 @@ def test_lcd_rejects_zero_vector():
         lcd_vector(np.zeros(3), LcdQuery(alpha=1.0, gamma=0.5))
 
 
+@pytest.mark.parametrize("vec, theta_max", [
+    ([1e300, 1e300], 1e4),  # the norm overflows to inf
+    ([1.0, 0.0], 1e6),      # step 0.025: 4e7 grid points, over LCD_GRID_BUDGET
+    ([1.0, 0.0], np.inf),
+])
+def test_lcd_rejects_unbounded_scans(vec, theta_max):
+    with pytest.raises(InvalidQuery):
+        lcd_vector(np.array(vec), LcdQuery(alpha=1.0, gamma=0.5, theta_max=theta_max))
+
+
 # ---- lcd_vector ---------------------------------------------------------------
 
 def test_lcd_axis_direction_closed_form():
