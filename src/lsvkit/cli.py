@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -32,6 +33,7 @@ from .harness import (
     MAX_WORKERS,
     RESAMPLE_STRIDE,
     TailSweepConfig,
+    fmt_g10,
     map_trials,
     run_tail_sweep,
     write_tail_csv,
@@ -47,77 +49,30 @@ class UsageError(Exception):
 
 # ---- argparse value types ------------------------------------------------
 
-def _uint64(text: str) -> int:
-    v = int(text)
-    if not 0 <= v < 1 << 64:
-        raise argparse.ArgumentTypeError("seed must be in [0, 2**64)")
-    return v
+def _checked(convert, ok, expected: str):
+    """An argparse type: convert(text), accepted only when ok(value) holds."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
 
 
-def _dim(text: str) -> int:
-    v = int(text)
-    if v < 2:
-        raise argparse.ArgumentTypeError("dimension must be >= 2")
-    return v
-
-
-def _pos_int(text: str) -> int:
-    v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return v
-
-
-def _trials(text: str) -> int:
-    v = _pos_int(text)
-    if v > RESAMPLE_STRIDE:
-        raise argparse.ArgumentTypeError("must not exceed 2**32 (resample stream layout)")
-    return v
-
-
-def _workers(text: str) -> int:
-    v = _pos_int(text)
-    if v > MAX_WORKERS:
-        raise argparse.ArgumentTypeError(f"must not exceed {MAX_WORKERS}")
-    return v
-
-
-def _finite_float(text: str) -> float:
-    v = float(text)
-    if not np.isfinite(v):
-        raise argparse.ArgumentTypeError("must be a finite real")
-    return v
-
-
-def _pos_float(text: str) -> float:
-    v = _finite_float(text)
-    if not v > 0:
-        raise argparse.ArgumentTypeError("must be a positive real")
-    return v
-
-
-def _nonneg_float(text: str) -> float:
-    v = _finite_float(text)
-    if not v >= 0:
-        raise argparse.ArgumentTypeError("must be a nonnegative real")
-    return v
-
-
-def _gamma01(text: str) -> float:
-    v = float(text)
-    if not 0.0 < v < 1.0:
-        raise argparse.ArgumentTypeError("gamma must lie in the open interval (0,1)")
-    return v
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected comma-separated reals") from None
-    if not all(np.isfinite(v) for v in values):
-        raise argparse.ArgumentTypeError("expected finite reals")
-    return values
+_uint64 = _checked(int, lambda v: 0 <= v < 1 << 64, "an integer in [0, 2**64)")
+_dim = _checked(int, lambda v: v >= 2, "an integer >= 2")
+_pos_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_trials = _checked(int, lambda v: 1 <= v <= RESAMPLE_STRIDE, "an integer in [1, 2**32]")
+_workers = _checked(int, lambda v: 1 <= v <= MAX_WORKERS, f"an integer in [1, {MAX_WORKERS}]")
+_pos_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite real > 0")
+_nonneg_float = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite real >= 0")
+_gamma01 = _checked(float, lambda v: 0 < v < 1, "a real in the open interval (0, 1)")
+_float_list = _checked(lambda text: [float(part) for part in text.split(",") if part != ""],
+                       lambda values: all(map(math.isfinite, values)),
+                       "comma-separated finite reals")
 
 
 _ENSEMBLE_NAMES = sorted(ENSEMBLES)
@@ -189,7 +144,7 @@ def _g10(obj):
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, (float, np.floating)):
-        return float(format(float(obj), ".10g"))
+        return float(fmt_g10(obj))
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, dict):
@@ -212,10 +167,11 @@ def _write_data_json(path: Path, doc) -> None:
 
 
 # ---- command runners -----------------------------------------------------
-# A runner gets the parameter dict built from parsed flags (a replayed
-# manifest is parsed as flags too), appends every path it creates to
-# `created` so failures can be cleaned up, and returns (exit_code, extra
-# manifest fields).
+# A runner gets the parsed flags as a dict keyed by argparse dest (a
+# replayed manifest is parsed as flags too); that dict, as the runner
+# leaves it, is the manifest's `parameters`.  It appends every path it
+# creates to `created` so failures can be cleaned up, and returns
+# (exit_code, extra manifest fields).
 
 def _run_tail(params: dict, created: list) -> tuple[int, dict]:
     cfg = TailSweepConfig(
@@ -261,64 +217,60 @@ def _run_witness(params: dict, created: list) -> tuple[int, dict]:
 
 
 def _run_lcd(params: dict, created: list) -> tuple[int, dict]:
-    gamma = params["gamma"]
-    theta_max = params["theta_max"]
-    grid_step = params["grid_step"]
+    vector_mode = params["vector"] is not None
+    if vector_mode == (params["subspace_dim"] is not None):
+        raise UsageError("exactly one of --vector and --subspace-dim is required")
+    # the manifest records only the chosen mode's flags
+    for key in ("subspace_dim", "n", "samples", "seed") if vector_mode else ("vector",):
+        del params[key]
 
-    if params["mode"] == "vector":
+    if vector_mode:
         vec = np.asarray(params["vector"], dtype=np.float64)
         if vec.size == 0:
             raise UsageError("--vector must be a nonzero vector")
-        alpha = params["alpha"]
-        alpha = default_alpha(vec.size) if alpha is None else alpha
-        params["alpha"] = alpha
-        query = LcdQuery(alpha=alpha, gamma=gamma, theta_max=theta_max, grid_step=grid_step)
-        res = lcd_vector(vec, query)
-        doc = {
-            "mode": "vector",
-            "vector": vec.tolist(),
-            "alpha": alpha,
-            "gamma": gamma,
-            "theta_max": theta_max,
-            "grid_step": grid_step,
-            "unbounded": res.unbounded,
-            "theta_star": res.theta_star,
-            "achieved_dist": res.achieved_dist,
-            "slack": res.slack,
-            "certificate": None if res.certificate is None else res.certificate.tolist(),
-        }
+        n = vec.size
+        head = {"mode": "vector", "vector": vec.tolist()}
+
+        def search(query):
+            return lcd_vector(vec, query)
     else:
         n = params["n"]
         dim = params["subspace_dim"]
+        if n is None:
+            raise UsageError("--subspace-dim requires --n")
         if not 1 <= dim <= n:
             raise UsageError(f"--subspace-dim must lie in [1, {n}], got {dim}")
         seed = params["seed"]
         samples = params["samples"]
-        alpha = params["alpha"]
-        alpha = default_alpha(n) if alpha is None else alpha
-        params["alpha"] = alpha
-        query = LcdQuery(alpha=alpha, gamma=gamma, theta_max=theta_max, grid_step=grid_step)
-        # stream 0 builds the subspace, stream 1 drives direction sampling
-        cols = sample_array(GAUSSIAN, (n, dim), SeedSpec(seed, 0))
-        basis = orthonormalize(cols)
-        res = lcd_subspace_sampled(basis, query, samples, SeedSpec(seed, 1))
-        doc = {
-            "mode": "subspace",
-            "n": n,
-            "subspace_dim": dim,
-            "samples": samples,
-            "master_seed": seed,
-            "alpha": alpha,
-            "gamma": gamma,
-            "theta_max": theta_max,
-            "grid_step": grid_step,
-            "unbounded": res.unbounded,
-            "theta_star": res.theta_star,
-            "achieved_dist": res.achieved_dist,
-            "slack": res.slack,
-            "certificate": None if res.certificate is None else res.certificate.tolist(),
-            "direction": None if res.direction is None else res.direction.tolist(),
-        }
+        head = {"mode": "subspace", "n": n, "subspace_dim": dim, "samples": samples,
+                "master_seed": seed}
+
+        def search(query):
+            # stream 0 builds the subspace, stream 1 drives direction sampling
+            cols = sample_array(GAUSSIAN, (n, dim), SeedSpec(seed, 0))
+            basis = orthonormalize(cols)
+            return lcd_subspace_sampled(basis, query, samples, SeedSpec(seed, 1))
+
+    params["mode"] = head["mode"]
+    if params["alpha"] is None:
+        params["alpha"] = default_alpha(n)
+    query = LcdQuery(alpha=params["alpha"], gamma=params["gamma"],
+                     theta_max=params["theta_max"], grid_step=params["grid_step"])
+    res = search(query)
+    doc = {
+        **head,
+        "alpha": query.alpha,
+        "gamma": query.gamma,
+        "theta_max": query.theta_max,
+        "grid_step": query.grid_step,
+        "unbounded": res.unbounded,
+        "theta_star": res.theta_star,
+        "achieved_dist": res.achieved_dist,
+        "slack": res.slack,
+        "certificate": None if res.certificate is None else res.certificate.tolist(),
+    }
+    if not vector_mode:
+        doc["direction"] = None if res.direction is None else res.direction.tolist()
 
     out = Path(params["out"])
     created.append(out)
@@ -361,55 +313,6 @@ _RUNNERS = {
 }
 
 
-# ---- parameter assembly from parsed flags ---------------------------------
-
-def _params_tail(args) -> dict:
-    return {
-        "ensemble": args.ensemble, "n_values": args.n_values, "k_values": args.k_values,
-        "trials": args.trials, "seed": args.seed, "direction": args.direction,
-        "workers": args.workers, "out": args.out,
-    }
-
-
-def _params_witness(args) -> dict:
-    return {
-        "ensemble": args.ensemble, "n": args.n, "trials": args.trials, "seed": args.seed,
-        "column": args.column, "workers": args.workers, "out": args.out,
-    }
-
-
-def _params_lcd(args) -> dict:
-    vector_mode = args.vector is not None
-    subspace_mode = args.subspace_dim is not None
-    if vector_mode == subspace_mode:
-        raise UsageError("exactly one of --vector and --subspace-dim is required")
-    common = {
-        "alpha": args.alpha, "gamma": args.gamma, "theta_max": args.theta_max,
-        "grid_step": args.grid_step, "out": args.out,
-    }
-    if vector_mode:
-        return {"mode": "vector", "vector": args.vector, **common}
-    if args.n is None:
-        raise UsageError("--subspace-dim requires --n")
-    return {"mode": "subspace", "n": args.n, "subspace_dim": args.subspace_dim,
-            "samples": args.samples, "seed": args.seed, **common}
-
-
-def _params_smallball(args) -> dict:
-    return {
-        "weights": args.weights, "ensemble": args.ensemble, "epsilon": args.epsilon,
-        "trials": args.trials, "seed": args.seed, "out": args.out,
-    }
-
-
-_PARAM_BUILDERS = {
-    "tail": _params_tail,
-    "witness": _params_witness,
-    "lcd": _params_lcd,
-    "smallball": _params_smallball,
-}
-
-
 def _cleanup(created: list) -> None:
     for path in created:
         try:
@@ -429,7 +332,7 @@ def _execute(command: str, params: dict) -> int:
             "version": __version__,
             "parameters": params,
             "master_seed": params.get("seed"),
-            "duration_seconds": float(format(time.perf_counter() - start, ".10g")),
+            "duration_seconds": float(fmt_g10(time.perf_counter() - start)),
             "outputs": [str(p) for p in created],
             **extra,
         }
@@ -440,7 +343,7 @@ def _execute(command: str, params: dict) -> int:
         _cleanup(created)
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (LsvError, ValueError, OSError, RuntimeError) as e:
+    except (LsvError, ValueError, OSError, RuntimeError, MemoryError) as e:
         _cleanup(created)
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -493,11 +396,7 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
-    try:
-        params = _PARAM_BUILDERS[args.command](args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    params = {k: v for k, v in vars(args).items() if k not in ("replay", "command")}
     return _execute(args.command, params)
 
 

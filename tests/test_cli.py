@@ -1,13 +1,21 @@
 """End-to-end CLI runs in subprocesses: outputs, manifests, replay, exit codes."""
 
+import contextlib
+import io
 import json
+import shlex
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lsvkit import cli
 from lsvkit.ensembles import RADEMACHER, SeedSpec
 from lsvkit.harness import MAX_WORKERS
 from lsvkit.structure import small_ball_estimate
@@ -174,6 +182,9 @@ def test_usage_errors_exit_2(tmp_path, tmp_path_factory):
         # dimension below 2
         ["tail", "--ensemble", "gaussian", "--n", "1", "--k", "1",
          "--trials", "5", "--out", str(tmp_path / "a.csv")],
+        # dimension that is not an integer
+        ["tail", "--ensemble", "gaussian", "--n", "1e3", "--k", "1",
+         "--trials", "5", "--out", str(tmp_path / "a.csv")],
         # gamma outside (0,1)
         ["lcd", "--vector", "1,0", "--gamma", "1.5", "--out", str(tmp_path / "b.json")],
         # zero weight vector
@@ -217,15 +228,142 @@ def test_usage_errors_exit_2(tmp_path, tmp_path_factory):
         r = run_cli(*argv)
         assert r.returncode == 2, (argv, r.stderr)
         assert "Traceback" not in r.stderr, (argv, r.stderr)
+        assert "invalid _" not in r.stderr, (argv, r.stderr)  # no private type names
         assert not argv or "error:" in r.stderr, (argv, r.stderr)
     assert list(tmp_path.iterdir()) == []  # nothing may be left behind
 
 
 def test_runtime_failure_exits_1_and_leaves_nothing(tmp_path):
-    missing_dir = tmp_path / "no_such_dir"
-    r = run_cli("tail", "--ensemble", "gaussian", "--n", 4, "--k", 1.0,
-                "--trials", 5, "--out", missing_dir / "tail.csv")
-    assert r.returncode == 1
-    assert "error:" in r.stderr
-    assert not missing_dir.exists()
+    cases = [
+        # output directory does not exist
+        ["tail", "--ensemble", "gaussian", "--n", 4, "--k", 1.0,
+         "--trials", 5, "--out", tmp_path / "no_such_dir" / "tail.csv"],
+        # direction block too large to allocate; the allocation is refused at once
+        ["lcd", "--subspace-dim", 2, "--n", 5, "--samples", 10**15,
+         "--out", tmp_path / "x.json"],
+    ]
+    for argv in cases:
+        r = run_cli(*argv)
+        assert r.returncode == 1, (argv, r.stderr)
+        assert "error:" in r.stderr, (argv, r.stderr)
+        assert "Traceback" not in r.stderr, (argv, r.stderr)
     assert list(tmp_path.iterdir()) == []
+
+
+# ---- fuzzed CLI contract -----------------------------------------------------
+# Every argv and every replayed manifest exits 0, 1 or 2, raises nothing
+# else, and leaves no file behind on a usage error.  Valid values are kept
+# small so that each run is cheap.
+
+JUNK = ("nan", "inf", "-1", "1e3", "[5]", "", "x")
+# for flags whose default or "1e3" would mean more work than a fuzz run should do
+BOUNDED_JUNK = tuple(v for v in JUNK if v != "1e3")
+
+
+def _given(flag, *valid, junk=JUNK):
+    return st.sampled_from(valid + junk).map(lambda v: [f"--{flag}={v}"])
+
+
+def _maybe(flag, *valid):
+    return st.one_of(st.just([]), _given(flag, *valid))
+
+
+_ENSEMBLE = _maybe("ensemble", "gaussian", "rademacher")
+_SEED = _maybe("seed", "0", "7")
+_WORKERS = _maybe("workers", "1", "2")
+_FUZZ_FLAGS = {
+    "tail": [_ENSEMBLE, _maybe("n", "2", "5", "8"), _maybe("k", "0.5", "2"),
+             _maybe("trials", "1", "50"), _SEED, _maybe("direction", "upper", "lower"),
+             _WORKERS],
+    "witness": [_ENSEMBLE, _maybe("n", "2", "5", "8"), _maybe("trials", "1", "50"), _SEED,
+                _maybe("column", "1", "3", "9"), _WORKERS],
+    "lcd": [_maybe("vector", "1,0", "-0.3,1.7"), _maybe("subspace-dim", "1", "2", "9"),
+            _maybe("n", "2", "8"), _given("samples", "1", "3", junk=BOUNDED_JUNK), _SEED,
+            _maybe("alpha", "0.5", "3"), _maybe("gamma", "0.3", "0.5"),
+            _given("theta-max", "10", "100", junk=BOUNDED_JUNK), _maybe("grid-step", "0.01")],
+    "smallball": [_maybe("weights", "1,1", "1,-2.5,0"), _ENSEMBLE,
+                  _maybe("epsilon", "0.1", "0.5"), _maybe("trials", "1", "1000"), _SEED],
+}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    argv = [command]
+    for flag in _FUZZ_FLAGS[command]:
+        argv += draw(flag)
+    return argv
+
+
+def _main_in_process(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse rejects with exit 2
+            code = e.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "invalid _" not in err.getvalue(), err.getvalue()  # no private type names
+    return code
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(argv=_fuzz_argv(), with_out=st.booleans())
+def test_fuzzed_flags_exit_0_1_or_2(argv, with_out):
+    with tempfile.TemporaryDirectory() as out_dir:
+        if with_out:
+            argv = argv + [f"--out={Path(out_dir) / 'data.out'}"]
+        if _main_in_process(argv) == 2:
+            assert list(Path(out_dir).iterdir()) == []
+
+
+_RECORDED_RUNS = [
+    ["tail", "--ensemble=gaussian", "--n=3", "--n=5", "--k=0.5", "--k=2", "--trials=20",
+     "--workers=2"],
+    ["witness", "--ensemble=rademacher", "--n=4", "--trials=5", "--column=2"],
+    ["lcd", "--vector=-0.3,1.7", "--theta-max=40"],
+    ["lcd", "--subspace-dim=2", "--n=5", "--samples=2", "--theta-max=30"],
+    ["smallball", "--weights=1,-2.5", "--ensemble=uniform", "--epsilon=0.3", "--trials=500"],
+]
+# parameters whose default would mean more work than a fuzz run should do
+_KEPT_PARAMS = ("theta_max", "samples")
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(run=st.sampled_from(_RECORDED_RUNS), data=st.data())
+def test_fuzzed_replay_exits_0_1_or_2(run, data):
+    with tempfile.TemporaryDirectory() as manifest_dir, \
+            tempfile.TemporaryDirectory() as out_dir:
+        out = Path(out_dir) / "data.out"
+        assert _main_in_process(run + [f"--out={out}"]) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        for path in Path(out_dir).iterdir():
+            path.unlink()
+        params = manifest["parameters"]
+        keys = sorted(set(params) - {"out"})  # a junk --out could write anywhere
+        for key in data.draw(st.lists(st.sampled_from(keys), unique=True, max_size=3)):
+            if key in _KEPT_PARAMS:
+                params[key] = data.draw(st.sampled_from(BOUNDED_JUNK))
+            elif data.draw(st.booleans()):
+                params[key] = data.draw(st.sampled_from(JUNK + ([5],)))
+            else:
+                del params[key]
+        replayed = Path(manifest_dir) / "replayed.manifest.json"
+        replayed.write_text(json.dumps(manifest))
+        if _main_in_process(["--replay", str(replayed)]) == 2:
+            assert list(Path(out_dir).iterdir()) == []
+
+
+# ---- docs ----------------------------------------------------------------------
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    examples = [shlex.split(line)[1:] for line in lines if line.startswith("lsvkit ")]
+    assert len(examples) == 6
+    for argv in examples:
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: lsvkit {shlex.join(argv)}")
