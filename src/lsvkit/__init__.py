@@ -22,8 +22,10 @@ from .ensembles import (  # noqa: F401
     SeedSpec,
     get_ensemble,
     sample_array,
+    sample_matrices,
     sample_matrix,
     sample_vector,
+    stream_keys,
 )
 from .errors import (  # noqa: F401
     DegenerateGeometry,
@@ -60,6 +62,7 @@ from .linalg import (  # noqa: F401
     orthonormalize,
     project_onto,
     smallest_singular_value,
+    smallest_singular_values,
 )
 from .structure import (  # noqa: F401
     LcdQuery,

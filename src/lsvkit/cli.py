@@ -81,13 +81,15 @@ _ENSEMBLE_NAMES = sorted(ENSEMBLES)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lsvkit",
+        allow_abbrev=False,
         description="Seeded experiments on the smallest singular value of random matrices.",
     )
     parser.add_argument("--replay", metavar="MANIFEST",
                         help="re-execute a recorded run from its manifest file")
     sub = parser.add_subparsers(dest="command")
 
-    tail = sub.add_parser("tail", help="Monte Carlo tail sweep of s_n, CSV output")
+    tail = sub.add_parser("tail", allow_abbrev=False,
+                          help="Monte Carlo tail sweep of s_n, CSV output")
     tail.add_argument("--ensemble", choices=_ENSEMBLE_NAMES, required=True)
     tail.add_argument("--n", dest="n_values", metavar="N", type=_dim, action="append",
                       required=True, help="matrix dimension, repeatable")
@@ -99,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     tail.add_argument("--workers", type=_workers, default=1)
     tail.add_argument("--out", required=True, help="CSV output path")
 
-    wit = sub.add_parser("witness", help="per-trial witness-system audits, JSON output")
+    wit = sub.add_parser("witness", allow_abbrev=False,
+                         help="per-trial witness-system audits, JSON output")
     wit.add_argument("--ensemble", choices=_ENSEMBLE_NAMES, required=True)
     wit.add_argument("--n", type=_dim, required=True)
     wit.add_argument("--trials", type=_trials, required=True)
@@ -109,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     wit.add_argument("--workers", type=_workers, default=1)
     wit.add_argument("--out", required=True, help="JSON output path")
 
-    lcd = sub.add_parser("lcd", help="least common denominator search, JSON output")
+    lcd = sub.add_parser("lcd", allow_abbrev=False,
+                         help="least common denominator search, JSON output")
     lcd.add_argument("--vector", type=_float_list,
                      help="direction as comma-separated reals (vector mode)")
     lcd.add_argument("--subspace-dim", type=_pos_int,
@@ -125,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     lcd.add_argument("--grid-step", type=_pos_float, default=None)
     lcd.add_argument("--out", required=True, help="JSON output path")
 
-    sb = sub.add_parser("smallball", help="Monte Carlo concentration estimate, JSON output")
+    sb = sub.add_parser("smallball", allow_abbrev=False,
+                        help="Monte Carlo concentration estimate, JSON output")
     sb.add_argument("--weights", type=_float_list, required=True,
                     help="weight vector, comma-separated, normalized automatically")
     sb.add_argument("--ensemble", choices=_ENSEMBLE_NAMES, required=True)
@@ -200,12 +205,14 @@ def _run_witness(params: dict, created: list) -> tuple[int, dict]:
         raise UsageError(f"--column must lie in [1, {n}], got {params['column']}")
     column = params["column"] - 1
 
-    def compute(sd: SeedSpec):
-        m = sample_matrix(ens, n, sd)
+    def audited(m: np.ndarray):
         try:
             return audit(m, column)
         except SingularMatrix:
             return None
+
+    def compute(seed: int, streams: np.ndarray):
+        return [audited(sample_matrix(ens, n, SeedSpec(seed, int(s)))) for s in streams]
 
     reports, singular = map_trials(compute, params["trials"], params["seed"], params["workers"])
     out = Path(params["out"])

@@ -54,9 +54,6 @@ _G2 = np.uint64(0x3C6EF372FE94F82A)  # 2*G mod 2**64
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 
-_U64_MASK = (1 << 64) - 1
-
-
 def _mix(z: np.ndarray) -> np.ndarray:
     z = z.copy()
     z ^= z >> np.uint64(30)
@@ -65,10 +62,6 @@ def _mix(z: np.ndarray) -> np.ndarray:
     z *= _M2
     z ^= z >> np.uint64(31)
     return z
-
-
-def _mix_int(x: int) -> int:
-    return int(_mix(np.array([x & _U64_MASK], dtype=np.uint64))[0])
 
 
 @dataclass(frozen=True)
@@ -85,25 +78,41 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self):
-        for name in ("master_seed", "stream_index"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or not 0 <= v < 1 << 64:
-                raise ValueError(f"{name} must be an integer in [0, 2**64), got {v!r}")
+        _check_u64("master_seed", self.master_seed)
+        _check_u64("stream_index", self.stream_index)
 
     def key(self) -> int:
-        a = _mix_int(self.master_seed + int(_G))
-        b = _mix_int(self.stream_index + int(_G2))
-        return _mix_int(a ^ b)
+        return int(stream_keys(self.master_seed, [self.stream_index])[0])
+
+
+def _check_u64(name: str, v) -> None:
+    if not isinstance(v, int) or not 0 <= v < 1 << 64:
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {v!r}")
+
+
+def stream_keys(master_seed: int, streams) -> np.ndarray:
+    """Keys of the given streams of master_seed, as a uint64 array.
+
+    streams holds stream indices in [0, 2**64); the sums with G and 2*G
+    wrap mod 2**64 like every other step of the scheme.
+    """
+    _check_u64("master_seed", master_seed)
+    a = _mix(np.array([master_seed], dtype=np.uint64) + _G)
+    return _mix(a ^ _mix(np.asarray(streams, dtype=np.uint64) + _G2))
+
+
+def _uniforms(keys: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Uniforms for counters start .. start+count-1 of each key, along the last axis."""
+    c = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    w = _mix(keys + c * _G)
+    return ((w >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
 
 
 def uniform_stream(seed: SeedSpec, start: int, count: int) -> np.ndarray:
     """Uniform draws in (0, 1) for counters start .. start+count-1."""
     if start < 0 or count < 0:
         raise ValueError("start and count must be nonnegative")
-    key = np.uint64(seed.key())
-    c = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    w = _mix(key + c * _G)
-    return ((w >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+    return _uniforms(np.uint64(seed.key()), start, count)
 
 
 @dataclass(frozen=True)
@@ -179,6 +188,19 @@ def sample_matrix(ensemble: Ensemble, n: int, seed: SeedSpec) -> np.ndarray:
     if n < 2:
         raise InvalidDimension(f"matrix dimension must be >= 2, got {n}")
     return sample_array(ensemble, (n, n), seed)
+
+
+def sample_matrices(ensemble: Ensemble, n: int, master_seed: int, streams) -> np.ndarray:
+    """(len(streams), n, n) stack of the given streams' matrices.
+
+    Matrix b equals sample_matrix(ensemble, n, SeedSpec(master_seed, streams[b]))
+    bit for bit.
+    """
+    if n < 2:
+        raise InvalidDimension(f"matrix dimension must be >= 2, got {n}")
+    keys = stream_keys(master_seed, streams)
+    u = _uniforms(keys[:, None], 0, n * n * ensemble.draws_per_entry)
+    return _transform(ensemble, u.ravel()).reshape(-1, n, n)
 
 
 def sample_vector(ensemble: Ensemble, n: int, seed: SeedSpec) -> np.ndarray:

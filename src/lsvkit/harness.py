@@ -28,19 +28,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import Ensemble, SeedSpec, sample_matrix
+from .ensembles import Ensemble, SeedSpec, sample_matrices, sample_matrix
 from .errors import (
     EnumerationTooLarge,
     InsufficientData,
     InvalidDimension,
     NumericallyDependent,
 )
-from .linalg import dist_to_subspace, orthonormalize, smallest_singular_value
+from .linalg import dist_to_subspace, orthonormalize, smallest_singular_values
+# bench/layers.py traces harness.smallest_singular_value by name
+from .linalg import smallest_singular_value  # noqa: F401
 from .stats import wilson_interval
 
 RESAMPLE_STRIDE = 1 << 32
 _MAX_RESAMPLE_ROUNDS = 64
 MAX_WORKERS = 64
+# Matrix entries sampled per block in scaled_sn_samples: large enough to
+# amortize per-call overhead, small enough to keep peak memory flat.
+BLOCK_ENTRIES = 1 << 14
 
 DIST_THRESHOLDS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
@@ -55,14 +60,18 @@ def fmt_g10(x: float) -> str:
     return format(float(x), ".10g")
 
 
-def map_trials(compute, trials: int, master_seed: int, workers: int = 1) -> tuple[list, int]:
-    """compute(seed) for every trial of a run; returns (values by trial, rejected draws).
+def map_trials(compute, trials: int, master_seed: int, workers: int = 1,
+               block: int = 1) -> tuple[list, int]:
+    """Every trial of a run, in blocks; returns (values by trial, rejected draws).
 
-    compute returns None to reject a draw.  Trial t first draws from
-    stream t of master_seed; rejection round r uses stream
-    r * RESAMPLE_STRIDE + t, so resampling never collides with other
-    trials' streams.  workers only partitions range(trials) into chunks
-    run on a thread pool, so it never changes a value.
+    compute(master_seed, streams) gets a uint64 array of at most block
+    stream indices and returns one value per stream, None to reject that
+    draw.  Trial t first draws from stream t of master_seed; rejection
+    round r uses stream r * RESAMPLE_STRIDE + t, so resampling never
+    collides with other trials' streams.  A block's rejected trials are
+    redrawn together as a smaller block.  workers only partitions
+    range(trials) into chunks run on a thread pool, and block only
+    splits chunks, so neither ever changes a value.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -70,18 +79,33 @@ def map_trials(compute, trials: int, master_seed: int, workers: int = 1) -> tupl
         raise ValueError("trials must not exceed 2**32 (resample stream layout)")
     if workers > MAX_WORKERS:
         raise ValueError(f"workers must not exceed {MAX_WORKERS}, got {workers}")
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
+
+    def run_block(t0: int, t1: int):
+        values = [None] * (t1 - t0)
+        pending = list(range(t0, t1))
+        rejected = 0
+        for r in range(_MAX_RESAMPLE_ROUNDS):
+            streams = np.array(pending, dtype=np.uint64) + np.uint64(r * RESAMPLE_STRIDE)
+            retry = []
+            for t, value in zip(pending, compute(master_seed, streams), strict=True):
+                if value is None:
+                    retry.append(t)
+                else:
+                    values[t - t0] = value
+            if not retry:
+                return values, rejected
+            rejected += len(retry)
+            pending = retry
+        raise RuntimeError(f"trial {pending[0]}: {_MAX_RESAMPLE_ROUNDS} degenerate draws in a row")
 
     def run_chunk(t0: int, t1: int):
         values = []
         rejected = 0
-        for t in range(t0, t1):
-            for r in range(_MAX_RESAMPLE_ROUNDS):
-                value = compute(SeedSpec(master_seed, r * RESAMPLE_STRIDE + t))
-                if value is not None:
-                    break
-            else:
-                raise RuntimeError(f"trial {t}: {_MAX_RESAMPLE_ROUNDS} degenerate draws in a row")
-            values.append(value)
+        for b0 in range(t0, t1, block):
+            v, r = run_block(b0, min(b0 + block, t1))
+            values += v
             rejected += r
         return values, rejected
 
@@ -101,11 +125,12 @@ def scaled_sn_samples(ensemble: Ensemble, n: int, trials: int, master_seed: int,
     if n < 2:
         raise InvalidDimension(f"n must be >= 2, got {n}")
 
-    def compute(seed: SeedSpec):
-        s = smallest_singular_value(sample_matrix(ensemble, n, seed))
-        return s if s > 0.0 else None
+    def compute(seed: int, streams: np.ndarray):
+        s = smallest_singular_values(sample_matrices(ensemble, n, seed, streams))
+        return [v if v > 0.0 else None for v in s]
 
-    values, singular = map_trials(compute, trials, master_seed, workers)
+    values, singular = map_trials(compute, trials, master_seed, workers,
+                                  block=max(1, BLOCK_ENTRIES // (n * n)))
     return np.array(values) * np.sqrt(n), singular
 
 
@@ -239,13 +264,15 @@ def distance_tail_experiment(ensemble: Ensemble, n: int, trials: int, master_see
     if n < 2:
         raise InvalidDimension(f"n must be >= 2, got {n}")
 
-    def compute(seed: SeedSpec):
-        m = sample_matrix(ensemble, n, seed)
+    def distance(m: np.ndarray):
         try:
             basis = orthonormalize(m[:, 1:])
         except NumericallyDependent:
             return None
         return dist_to_subspace(m[:, 0], basis)
+
+    def compute(seed: int, streams: np.ndarray):
+        return [distance(sample_matrix(ensemble, n, SeedSpec(seed, int(s)))) for s in streams]
 
     values, singular = map_trials(compute, trials, master_seed, workers)
     samples = np.array(values)

@@ -115,13 +115,25 @@ def is_singular(a) -> bool:
     return False
 
 
+def smallest_singular_values(stack) -> np.ndarray:
+    """s_n of every matrix in a (b, n, n) stack; 0.0 where the pivot test flags it singular.
+
+    Every matrix is validated and pivot-tested by lu_factorization; the
+    survivors share one stacked SVD.
+    """
+    mats = np.asarray(stack, dtype=np.float64)
+    if mats.ndim != 3:
+        raise DimensionMismatch(f"expected a (b, n, n) stack, got shape {mats.shape}")
+    regular = np.array([not is_singular(m) for m in mats], dtype=bool)
+    out = np.zeros(mats.shape[0])
+    if regular.any():
+        out[regular] = np.linalg.svd(mats[regular], compute_uv=False)[:, -1]
+    return out
+
+
 def smallest_singular_value(a) -> float:
     """min_{||x||=1} ||A x||_2; returns 0.0 when the pivot test flags A singular."""
-    try:
-        lu_factorization(a)  # validates a
-    except SingularMatrix:
-        return 0.0
-    return float(np.linalg.svd(np.asarray(a, dtype=np.float64), compute_uv=False)[-1])
+    return float(smallest_singular_values(as_matrix(a)[None])[0])
 
 
 @dataclass(frozen=True)

@@ -176,6 +176,10 @@ def test_usage_errors_exit_2(tmp_path, tmp_path_factory):
     wrong_type.write_text(json.dumps({"command": "witness", "parameters": {
         "ensemble": "gaussian", "n": [5], "trials": 2, "seed": 0, "column": 1,
         "workers": 1, "out": str(tmp_path / "n.json")}}))
+    abbreviated_key = manifests / "abbreviated_key.manifest.json"
+    abbreviated_key.write_text(json.dumps({"command": "witness", "parameters": {
+        "ensemble": "gaussian", "n": 5, "trials": 2, "seed": 0, "colum": 1,
+        "workers": 1, "out": str(tmp_path / "p.json")}}))
     cases = [
         # missing --out
         ["tail", "--ensemble", "gaussian", "--n", "4", "--k", "1", "--trials", "5"],
@@ -205,6 +209,10 @@ def test_usage_errors_exit_2(tmp_path, tmp_path_factory):
         # replayed manifests are validated like flags
         ["--replay", str(missing_key)],
         ["--replay", str(wrong_type)],
+        # flags and manifest keys must be spelled out, never abbreviated
+        ["witness", "--ens", "rademacher", "--n", "5", "--tri", "3", "--col", "2",
+         "--out", str(tmp_path / "q.json")],
+        ["--replay", str(abbreviated_key)],
         # non-finite reals
         ["tail", "--ensemble", "gaussian", "--n", "4", "--k", "inf", "--trials", "5",
          "--out", str(tmp_path / "g.csv")],

@@ -14,8 +14,10 @@ from lsvkit.ensembles import (
     SeedSpec,
     get_ensemble,
     sample_array,
+    sample_matrices,
     sample_matrix,
     sample_vector,
+    stream_keys,
     uniform_stream,
 )
 from lsvkit.errors import InvalidDimension
@@ -88,11 +90,32 @@ def test_chunked_generation_matches_full_stream(offset, count, kind):
     assert np.array_equal(full[offset:offset + count], part)
 
 
+# stream + 2*G wraps mod 2**64 for the last stream
+_BLOCK_STREAMS = [0, 5, 2**32 + 3, 2**64 - 1]
+
+
+def test_stream_keys_match_seedspec_keys():
+    for seed in (0, 2**64 - 1):
+        keys = stream_keys(seed, _BLOCK_STREAMS)
+        assert keys.tolist() == [SeedSpec(seed, s).key() for s in _BLOCK_STREAMS]
+
+
+@pytest.mark.parametrize("kind", sorted(ENSEMBLES))
+def test_block_sampling_matches_per_stream_sampling(kind):
+    ens = get_ensemble(kind)
+    stack = sample_matrices(ens, 4, 2024, _BLOCK_STREAMS)
+    assert stack.shape == (len(_BLOCK_STREAMS), 4, 4)
+    for b, s in enumerate(_BLOCK_STREAMS):
+        assert stack[b].tobytes() == sample_matrix(ens, 4, SeedSpec(2024, s)).tobytes()
+
+
 def test_dimension_validation():
     with pytest.raises(InvalidDimension):
         sample_matrix(GAUSSIAN, 1, SeedSpec(0, 0))
     with pytest.raises(InvalidDimension):
         sample_vector(GAUSSIAN, 0, SeedSpec(0, 0))
+    with pytest.raises(InvalidDimension):
+        sample_matrices(GAUSSIAN, 1, 0, [0])
 
 
 def test_seedspec_validation():

@@ -37,12 +37,25 @@ def test_worker_count_never_changes_values():
     assert sing_one == sing_three
 
 
+def _first_nonsingular_draw(ensemble, n, seed, t):
+    # (s_n, rejected rounds) from the resample stream layout, one matrix at a time
+    for r in range(64):
+        s = smallest_singular_value(sample_matrix(ensemble, n, SeedSpec(seed, r * 2**32 + t)))
+        if s > 0.0:
+            return s, r
+    raise AssertionError(f"trial {t} never drew a nonsingular matrix")
+
+
 def test_samples_match_per_trial_recomputation():
-    values, singular = scaled_sn_samples(GAUSSIAN, 5, 8, 7)
-    assert singular == 0
-    for t in range(8):
-        s = smallest_singular_value(sample_matrix(GAUSSIAN, 5, SeedSpec(7, t)))
-        assert values[t] == s * np.sqrt(5.0)
+    # rademacher n=16 resamples about 1 draw in 20, across block boundaries
+    for ensemble, n, trials, seed, workers in ((GAUSSIAN, 5, 8, 7, 1),
+                                               (RADEMACHER, 16, 300, 3, 1),
+                                               (RADEMACHER, 16, 300, 3, 3)):
+        values, singular = scaled_sn_samples(ensemble, n, trials, seed, workers)
+        draws = [_first_nonsingular_draw(ensemble, n, seed, t) for t in range(trials)]
+        assert values.tolist() == [s * np.sqrt(n) for s, _ in draws]
+        assert singular == sum(r for _, r in draws)
+        assert (singular > 0) == (ensemble is RADEMACHER)
 
 
 def test_rademacher_small_n_resamples_singular_draws():
@@ -62,26 +75,26 @@ def test_sample_validation():
 
 # ---- map_trials -------------------------------------------------------------
 
-def _reject_even_first_draws(seed):
+def _reject_even_first_draws(master_seed, streams):
     # value = the accepting stream; round 0 of every even trial is rejected
-    trial, rnd = seed.stream_index % RESAMPLE_STRIDE, seed.stream_index // RESAMPLE_STRIDE
-    return None if rnd == 0 and trial % 2 == 0 else seed.stream_index
+    return [None if s < RESAMPLE_STRIDE and s % 2 == 0 else int(s) for s in streams]
 
 
 def test_map_trials_order_and_resample_accounting():
     expected = [RESAMPLE_STRIDE + t if t % 2 == 0 else t for t in range(37)]
     for workers in (1, 3, 7):
-        values, rejected = map_trials(_reject_even_first_draws, 37, 5, workers)
-        assert values == expected
-        assert rejected == 19  # even trials in range(37)
+        for block in (1, 4, 37):
+            values, rejected = map_trials(_reject_even_first_draws, 37, 5, workers, block)
+            assert values == expected
+            assert rejected == 19  # even trials in range(37)
 
 
 def test_map_trials_bounds():
     calls = []
 
-    def compute(seed):
-        calls.append(seed)
-        return 0.0
+    def compute(master_seed, streams):
+        calls.append(streams)
+        return [0.0] * len(streams)
 
     with pytest.raises(ValueError):
         map_trials(compute, 0, 0)
@@ -89,9 +102,11 @@ def test_map_trials_bounds():
         map_trials(compute, RESAMPLE_STRIDE + 1, 0)
     with pytest.raises(ValueError):
         map_trials(compute, 10, 0, workers=MAX_WORKERS + 1)
+    with pytest.raises(ValueError):
+        map_trials(compute, 10, 0, block=0)
     assert calls == []  # every bound is checked before any trial runs
     with pytest.raises(RuntimeError):
-        map_trials(lambda seed: None, 1, 0)
+        map_trials(lambda master_seed, streams: [None] * len(streams), 3, 0, block=2)
 
 
 # ---- run_tail_sweep ---------------------------------------------------------

@@ -27,6 +27,7 @@ from lsvkit.linalg import (
     orthonormalize,
     project_onto,
     smallest_singular_value,
+    smallest_singular_values,
 )
 
 
@@ -123,6 +124,16 @@ def test_smallest_singular_value_zero_on_singular():
     assert smallest_singular_value(np.zeros((4, 4))) == 0.0
     rank1 = np.outer(np.arange(1.0, 5.0), np.arange(1.0, 5.0))
     assert smallest_singular_value(rank1) == 0.0
+
+
+def test_smallest_singular_values_of_a_stack():
+    # singular members give 0.0 and leave the others' stacked SVD alone
+    stack = np.stack([np.diag([3.0, 0.5, 2.0]), np.zeros((3, 3)), np.eye(3)])
+    assert smallest_singular_values(stack) == pytest.approx([0.5, 0.0, 1.0], rel=1e-12)
+    with pytest.raises(DimensionMismatch):
+        smallest_singular_values(np.eye(3))
+    with pytest.raises(NonSquare):
+        smallest_singular_values(np.ones((2, 2, 3)))
 
 
 def test_smallest_singular_value_nonsquare():
