@@ -7,12 +7,12 @@ the rest of the library builds on.
 Singularity policy: a square matrix is treated as singular exactly when
 LU with partial pivoting produces a pivot smaller than
 ``PIVOT_RTOL * max_j ||column_j||_2`` (or when it has a zero column).
-All routines that need invertibility apply this one test.
+All routines that need invertibility apply this one test, through the
+one LAPACK ``getrf`` call in ``_pivoted_lu``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +29,9 @@ PIVOT_RTOL = 1e-13
 ORTHONORMALITY_TOL = 1e-10
 DEPENDENCE_RTOL = 1e-12
 BIORTHOGONALITY_TOL = 1e-8
+
+# the float64 LAPACK routine scipy.linalg.lu_factor would look up on every call
+_getrf = sla.get_lapack_funcs("getrf", dtype=np.float64)
 
 
 def as_vector(v) -> np.ndarray:
@@ -73,25 +76,35 @@ class LuFactorization:
         return self.solve(np.eye(self.dim))
 
 
+def _pivoted_lu(m: np.ndarray, scale: float) -> tuple:
+    """(lu, piv) of a validated square matrix, or SingularMatrix per the pivot rule.
+
+    ``scale`` is the largest column norm; 0.0 means no nonzero column.
+    An exact zero pivot (getrf's info > 0) falls under the same rule.
+    """
+    if scale == 0.0:
+        raise SingularMatrix("matrix has no nonzero column")
+    lu, piv, info = _getrf(m)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf")
+    pivot = np.abs(lu.diagonal()).min()
+    if pivot < PIVOT_RTOL * scale:
+        raise SingularMatrix(f"pivot {pivot:.3e} below threshold {PIVOT_RTOL * scale:.3e}")
+    return lu, piv
+
+
+def _column_scales(mats: np.ndarray) -> np.ndarray:
+    """Largest column norm of each matrix in a (..., n, n) array; 0.0 when n == 0."""
+    return np.linalg.norm(mats, axis=-2).max(axis=-1, initial=0.0)
+
+
 def lu_factorization(a) -> LuFactorization:
     """LU with partial pivoting plus the module's singularity test.
 
     Every routine here that needs invertibility goes through this one.
     """
     m = as_square(a)
-    col_norms = np.linalg.norm(m, axis=0)
-    scale = float(col_norms.max()) if col_norms.size else 0.0
-    if scale == 0.0:
-        raise SingularMatrix("matrix has no nonzero column")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy warns on exact zero pivots; we raise instead
-        lu, piv = sla.lu_factor(m, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() < PIVOT_RTOL * scale:
-        raise SingularMatrix(
-            f"pivot {pivots.min():.3e} below threshold {PIVOT_RTOL * scale:.3e}"
-        )
-    return LuFactorization(dim=m.shape[0], _factors=(lu, piv))
+    return LuFactorization(dim=m.shape[0], _factors=_pivoted_lu(m, float(_column_scales(m))))
 
 
 def lu_solve(a, b) -> np.ndarray:
@@ -118,13 +131,22 @@ def is_singular(a) -> bool:
 def smallest_singular_values(stack) -> np.ndarray:
     """s_n of every matrix in a (b, n, n) stack; 0.0 where the pivot test flags it singular.
 
-    Every matrix is validated and pivot-tested by lu_factorization; the
-    survivors share one stacked SVD.
+    The stack is validated once, every matrix is pivot-tested by
+    _pivoted_lu, and the survivors share one stacked SVD.
     """
     mats = np.asarray(stack, dtype=np.float64)
     if mats.ndim != 3:
         raise DimensionMismatch(f"expected a (b, n, n) stack, got shape {mats.shape}")
-    regular = np.array([not is_singular(m) for m in mats], dtype=bool)
+    if mats.shape[1] != mats.shape[2]:
+        raise NonSquare(f"expected square matrices, got a stack of shape {mats.shape}")
+    if not np.all(np.isfinite(mats)):
+        raise ValueError("matrix entries must be finite")
+    regular = np.ones(mats.shape[0], dtype=bool)
+    for i, scale in enumerate(_column_scales(mats).tolist()):
+        try:
+            _pivoted_lu(mats[i], scale)
+        except SingularMatrix:
+            regular[i] = False
     out = np.zeros(mats.shape[0])
     if regular.any():
         out[regular] = np.linalg.svd(mats[regular], compute_uv=False)[:, -1]

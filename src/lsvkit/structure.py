@@ -34,6 +34,7 @@ DEFAULT_THETA_MAX = 1e4
 BISECTION_TOL = 1e-10
 UNIT_NORM_TOL = 1e-10
 LCD_GRID_BUDGET = 10_000_000
+LCD_SAMPLE_BUDGET = 10_000
 
 _SCAN_CHUNK = 1 << 16
 
@@ -175,10 +176,11 @@ def lcd_subspace_sampled(basis: OrthonormalBasis, q: LcdQuery, samples: int,
     directions of the subspace (Gaussian coefficients, normalized).  As
     a sampled infimum it can only overestimate the true subspace LCD;
     an unbounded result says no sampled direction was admissible within
-    theta_max, not that none exists.
+    theta_max, not that none exists.  More than LCD_SAMPLE_BUDGET
+    directions are rejected with InvalidQuery before any is drawn.
     """
-    if samples < 1:
-        raise InvalidQuery(f"samples must be >= 1, got {samples}")
+    if not 1 <= samples <= LCD_SAMPLE_BUDGET:
+        raise InvalidQuery(f"samples must lie in [1, {LCD_SAMPLE_BUDGET}], got {samples}")
     if basis.size < 1:
         raise InvalidQuery("subspace must have dimension >= 1")
     coeffs = sample_array(GAUSSIAN, (samples, basis.size), seed)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from lsvkit import cli
 from lsvkit.ensembles import RADEMACHER, SeedSpec
 from lsvkit.harness import MAX_WORKERS
-from lsvkit.structure import small_ball_estimate
+from lsvkit.structure import LCD_SAMPLE_BUDGET, small_ball_estimate
 
 
 def run_cli(*args):
@@ -222,6 +222,9 @@ def test_usage_errors_exit_2(tmp_path, tmp_path_factory):
         ["lcd", "--vector", "1,0", "--theta-max", "inf", "--out", str(tmp_path / "j.json")],
         # direction norm overflows to inf
         ["lcd", "--vector", "1e300,1e300", "--out", str(tmp_path / "k.json")],
+        # more sampled directions than the LCD sample budget
+        ["lcd", "--subspace-dim", "2", "--n", "5", "--samples", str(LCD_SAMPLE_BUDGET + 1),
+         "--out", str(tmp_path / "r.json")],
         # 1e15 grid points, over the LCD grid budget
         ["lcd", "--vector", "1,0", "--grid-step", "1e-9", "--theta-max", "1e6",
          "--out", str(tmp_path / "l.json")],
@@ -246,8 +249,8 @@ def test_runtime_failure_exits_1_and_leaves_nothing(tmp_path):
         # output directory does not exist
         ["tail", "--ensemble", "gaussian", "--n", 4, "--k", 1.0,
          "--trials", 5, "--out", tmp_path / "no_such_dir" / "tail.csv"],
-        # direction block too large to allocate; the allocation is refused at once
-        ["lcd", "--subspace-dim", 2, "--n", 5, "--samples", 10**15,
+        # subspace block too large to allocate; the allocation is refused at once
+        ["lcd", "--subspace-dim", 2, "--n", 10**15, "--samples", 2,
          "--out", tmp_path / "x.json"],
     ]
     for argv in cases:

@@ -1,13 +1,24 @@
 """Dense operations vs independent oracles (cofactor inverse, closed forms)."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import inverse_cofactor, solve_cofactor
 
-from lsvkit.ensembles import GAUSSIAN, SeedSpec, sample_array, sample_matrix
+from lsvkit import linalg
+from lsvkit.ensembles import (
+    GAUSSIAN,
+    RADEMACHER,
+    SeedSpec,
+    sample_array,
+    sample_matrices,
+    sample_matrix,
+)
 from lsvkit.errors import (
     DimensionMismatch,
     NonSquare,
@@ -134,6 +145,46 @@ def test_smallest_singular_values_of_a_stack():
         smallest_singular_values(np.eye(3))
     with pytest.raises(NonSquare):
         smallest_singular_values(np.ones((2, 2, 3)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 16])
+def test_stack_pivot_test_matches_per_matrix_route(n):
+    # sign matrices are singular with positive probability, so both outcomes occur
+    stack = sample_matrices(RADEMACHER, n, 3, np.arange(400, dtype=np.uint64))
+    values = smallest_singular_values(stack)
+    singular = np.array([is_singular(m) for m in stack])
+    assert 0 < singular.sum() < len(stack)
+    assert np.array_equal(values == 0.0, singular)
+    assert values[~singular].tolist() == [smallest_singular_value(m) for m in stack[~singular]]
+    for m in stack[~singular]:
+        lu, piv = lu_factorization(m)._factors
+        ref_lu, ref_piv = sla.lu_factor(m)
+        assert lu.tobytes() == ref_lu.tobytes() and piv.tobytes() == ref_piv.tobytes()
+
+
+def test_pivot_test_raises_instead_of_warning():
+    exact_zero_pivot = np.array([[1.0, 2.0], [2.0, 4.0]])  # getrf reports info > 0
+    zero_column = np.array([[1.0, 0.0], [2.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a LinAlgWarning or RuntimeWarning would raise
+        for a in (exact_zero_pivot, zero_column, np.zeros((2, 2))):
+            with pytest.raises(SingularMatrix):
+                lu_factorization(a)
+        stack = np.stack([exact_zero_pivot, zero_column, np.zeros((2, 2)), np.eye(2)])
+        assert smallest_singular_values(stack).tolist() == [0.0, 0.0, 0.0, 1.0]
+
+
+def test_stack_is_validated_before_any_factorization(monkeypatch):
+    def refuse(m):
+        raise AssertionError("factorized before the stack was validated")
+
+    monkeypatch.setattr(linalg, "_getrf", refuse)
+    with pytest.raises(NonSquare):
+        smallest_singular_values(np.ones((3, 2, 3)))
+    stack = np.stack([np.eye(3)] * 3)
+    stack[2, 1, 1] = np.nan
+    with pytest.raises(ValueError):
+        smallest_singular_values(stack)
 
 
 def test_smallest_singular_value_nonsquare():

@@ -17,3 +17,28 @@ def test_no_private_names_imported_across_modules():
             offenders += [f"{path.name}: {alias.name}" for alias in node.names
                           if alias.name.startswith("_") and not alias.name.startswith("__")]
     assert offenders == []
+
+
+def _lu_references(tree):
+    """Names, attributes, imports and strings that reach LAPACK's LU (lu_factor, *getrf)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if name == "lu_factor" or name.endswith("getrf"):
+            yield name
+
+
+def test_only_linalg_factors_lu():
+    # one factorization path: every pivot test and LU solve goes through linalg
+    found = {path.name: list(_lu_references(ast.parse(path.read_text(encoding="utf-8"))))
+             for path in sorted(Path(lsvkit.__file__).parent.glob("*.py"))}
+    assert found.pop("linalg.py")
+    assert {name: refs for name, refs in found.items() if refs} == {}

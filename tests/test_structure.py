@@ -15,6 +15,7 @@ from lsvkit.ensembles import GAUSSIAN, RADEMACHER, SeedSpec, sample_array
 from lsvkit.errors import InvalidQuery
 from lsvkit.linalg import OrthonormalBasis, orthonormalize
 from lsvkit.structure import (
+    LCD_SAMPLE_BUDGET,
     LcdQuery,
     dist_to_lattice,
     lcd_subspace_sampled,
@@ -206,6 +207,8 @@ def test_subspace_validation():
     q = LcdQuery(alpha=1.0, gamma=0.5)
     with pytest.raises(InvalidQuery):
         lcd_subspace_sampled(basis, q, samples=0, seed=SeedSpec(0, 0))
+    with pytest.raises(InvalidQuery):
+        lcd_subspace_sampled(basis, q, samples=LCD_SAMPLE_BUDGET + 1, seed=SeedSpec(0, 0))
     empty = OrthonormalBasis(ambient_dim=2, vectors=np.empty((0, 2)))
     with pytest.raises(InvalidQuery):
         lcd_subspace_sampled(empty, q, samples=3, seed=SeedSpec(0, 0))
