@@ -22,11 +22,16 @@ it; fit_tail_model recovers only the leading constant.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .ensembles import Ensemble, SeedSpec, sample_matrices, sample_matrix
 from .errors import (
@@ -60,6 +65,66 @@ def fmt_g10(x: float) -> str:
     return format(float(x), ".10g")
 
 
+def _loaded_openblas() -> tuple:
+    """(file name, openblas_set_num_threads_local) of each OpenBLAS numpy and scipy bundle.
+
+    Only copies this process has already loaded are bound (RTLD_NOLOAD),
+    and a copy without the symbol is skipped.
+    """
+    found = []
+    for package in (np, scipy):
+        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for path in sorted(libs.glob("*openblas*.so*")):
+            try:
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+                set_threads = lib.openblas_set_num_threads_local
+            except (OSError, AttributeError):
+                continue
+            set_threads.argtypes = [ctypes.c_int]
+            set_threads.restype = ctypes.c_int
+            found.append((path.name, set_threads))
+    return tuple(found)
+
+
+_OPENBLAS = _loaded_openblas()
+# file names of the OpenBLAS copies map_trials runs at one thread per worker
+PINNED_BLAS = tuple(name for name, _ in _OPENBLAS)
+
+
+class _OneBlasThread:
+    """Context manager running its body with every bound OpenBLAS at one thread.
+
+    map_trials threads each call BLAS, so a multi-threaded BLAS under them
+    only oversubscribes the cores.  The bundled pthreads builds keep one
+    process-wide count, so overlapping bodies share one pin: the first to
+    enter saves each library's count, the last to leave restores it.
+    Every entry still pins, which also covers builds whose count is per
+    thread.  With no library bound it does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = ()
+
+    def __enter__(self):
+        with self._lock:
+            saved = tuple((set_threads, set_threads(1)) for _, set_threads in _OPENBLAS)
+            if self._depth == 0:
+                self._saved = saved
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for set_threads, count in self._saved:
+                    set_threads(count)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
 def map_trials(compute, trials: int, master_seed: int, workers: int = 1,
                block: int = 1) -> tuple[list, int]:
     """Every trial of a run, in blocks; returns (values by trial, rejected draws).
@@ -71,7 +136,9 @@ def map_trials(compute, trials: int, master_seed: int, workers: int = 1,
     collides with other trials' streams.  A block's rejected trials are
     redrawn together as a smaller block.  workers only partitions
     range(trials) into chunks run on a thread pool, and block only
-    splits chunks, so neither ever changes a value.
+    splits chunks, so neither ever changes a value.  Each chunk runs with
+    the bundled OpenBLAS copies (PINNED_BLAS) at one thread, restored
+    afterwards; where none is found the chunk runs unpinned.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -103,10 +170,11 @@ def map_trials(compute, trials: int, master_seed: int, workers: int = 1,
     def run_chunk(t0: int, t1: int):
         values = []
         rejected = 0
-        for b0 in range(t0, t1, block):
-            v, r = run_block(b0, min(b0 + block, t1))
-            values += v
-            rejected += r
+        with _one_blas_thread:
+            for b0 in range(t0, t1, block):
+                v, r = run_block(b0, min(b0 + block, t1))
+                values += v
+                rejected += r
         return values, rejected
 
     if workers <= 1 or trials <= 1:

@@ -29,6 +29,9 @@ PIVOT_RTOL = 1e-13
 ORTHONORMALITY_TOL = 1e-10
 DEPENDENCE_RTOL = 1e-12
 BIORTHOGONALITY_TOL = 1e-8
+# Stacked entries per np.linalg.qr call in leave_one_out_distances (9
+# column deletions at n = 60): qr holds about three times its input.
+LOO_QR_ENTRIES = 1 << 15
 
 # the float64 LAPACK routine scipy.linalg.lu_factor would look up on every call
 _getrf = sla.get_lapack_funcs("getrf", dtype=np.float64)
@@ -120,14 +123,6 @@ def inverse(a) -> np.ndarray:
     return lu_factorization(a).inverse()
 
 
-def is_singular(a) -> bool:
-    try:
-        lu_factorization(a)
-    except SingularMatrix:
-        return True
-    return False
-
-
 def smallest_singular_values(stack) -> np.ndarray:
     """s_n of every matrix in a (b, n, n) stack; 0.0 where the pivot test flags it singular.
 
@@ -191,6 +186,31 @@ class OrthonormalBasis:
         return self.vectors.shape[0]
 
 
+def _orthonormal_rows(stack: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Sign-fixed Q factors of a (g, n, k) stack of columns as (g, k, n) C-contiguous rows.
+
+    norms holds the (g, k) column norms.  Each matrix passes, in stack
+    order, the checks orthonormalize documents; the first failure raises.
+    """
+    q, r = np.linalg.qr(stack, mode="reduced")
+    diag = r.diagonal(axis1=1, axis2=2).copy()
+    del r
+    rows = np.multiply(q.transpose(0, 2, 1), np.sign(diag)[:, :, None], order="C")
+    del q
+    gram = rows @ rows.transpose(0, 2, 1)
+    gram -= np.eye(gram.shape[-1])
+    defects = np.abs(gram, out=gram).max(axis=(1, 2), initial=0.0)
+    for col_norms, d, defect in zip(norms, diag, defects.tolist()):
+        if np.any(col_norms == 0.0):
+            raise NumericallyDependent(int(np.argmin(col_norms)), "zero input vector")
+        bad = np.abs(d) < DEPENDENCE_RTOL * col_norms
+        if np.any(bad):
+            raise NumericallyDependent(int(np.argmax(bad)))
+        if defect > ORTHONORMALITY_TOL:
+            raise ValueError(f"rows are not orthonormal (defect {defect:.3e})")
+    return rows
+
+
 def orthonormalize(vectors) -> OrthonormalBasis:
     """Orthonormal basis of span(vectors) preserving input order.
 
@@ -198,8 +218,8 @@ def orthonormalize(vectors) -> OrthonormalBasis:
     Equivalent to Gram-Schmidt with re-orthogonalization; computed via
     Householder QR for backward stability, with signs fixed so vector j
     keeps a positive component along its own orthogonalized direction.
-    Raises NumericallyDependent(index=j) when vector j's residual falls
-    below DEPENDENCE_RTOL times its norm.
+    Raises NumericallyDependent(index=j) when vector j is zero or its
+    residual falls below DEPENDENCE_RTOL times its norm.
     """
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
         cols = as_matrix(vectors)
@@ -214,15 +234,7 @@ def orthonormalize(vectors) -> OrthonormalBasis:
     if k > n:
         raise DimensionMismatch(f"{k} vectors cannot be independent in dimension {n}")
     norms = np.linalg.norm(cols, axis=0)
-    if np.any(norms == 0.0):
-        raise NumericallyDependent(int(np.argmin(norms)), "zero input vector")
-    q, r = np.linalg.qr(cols, mode="reduced")
-    diag = np.diag(r)
-    bad = np.abs(diag) < DEPENDENCE_RTOL * norms
-    if np.any(bad):
-        raise NumericallyDependent(int(np.argmax(bad)))
-    q = q * np.sign(diag)[None, :]
-    return OrthonormalBasis(ambient_dim=n, vectors=q.T)
+    return OrthonormalBasis(ambient_dim=n, vectors=_orthonormal_rows(cols[None], norms[None])[0])
 
 
 def project_onto(basis: OrthonormalBasis, v) -> np.ndarray:
@@ -246,17 +258,28 @@ def leave_one_out_distances(cols) -> np.ndarray:
     """dist(column k, span of the other columns) for every column k of an (n, m) matrix.
 
     The span of no columns is {0}, so a single column's distance is its norm.
+    The column-deleted matrices are orthonormalized by stacked QRs of at
+    most LOO_QR_ENTRIES entries, raising what orthonormalize would for the
+    first failing column; each distance is then projected on its own, as
+    dist_to_subspace does.
     """
     m = as_matrix(cols)
     n, k = m.shape
+    if k <= 1:
+        empty = OrthonormalBasis(ambient_dim=n, vectors=np.empty((0, n)))
+        return np.array([dist_to_subspace(m[:, j], empty) for j in range(k)])
+    if k - 1 > n:
+        raise DimensionMismatch(f"{k - 1} vectors cannot be independent in dimension {n}")
+    norms = np.linalg.norm(m, axis=0)
+    others = np.array([[c for c in range(k) if c != j] for j in range(k)])
+    group = max(1, LOO_QR_ENTRIES // (n * (k - 1)))
     out = np.empty(k)
-    for j in range(k):
-        others = np.delete(m, j, axis=1)
-        if others.shape[1]:
-            basis = orthonormalize(others)
-        else:
-            basis = OrthonormalBasis(ambient_dim=n, vectors=np.empty((0, n)))
-        out[j] = dist_to_subspace(m[:, j], basis)
+    for g0 in range(0, k, group):
+        idx = others[g0:g0 + group]
+        rows = _orthonormal_rows(m[:, idx].transpose(1, 0, 2), norms[idx])
+        for j, v in enumerate(rows, start=g0):
+            w = m[:, j]
+            out[j] = np.linalg.norm(w - v.T @ (v @ w))
     return out
 
 

@@ -47,7 +47,8 @@ LOWER_BOUND_TOL = 1e-8
 UPPER_BOUND_RTOL = 1e-8
 
 
-def _validated(a, column: int):
+def _witness_parts(a, column: int):
+    """(matrix, other column indices, LU factors, basis of H, witness x) after the LU gate."""
     m = as_square(a)
     n = m.shape[0]
     if n < 2:
@@ -55,16 +56,15 @@ def _validated(a, column: int):
     if not 0 <= column < n:
         raise DimensionMismatch(f"column {column} out of range for n = {n}")
     others = [k for k in range(n) if k != column]
-    return m, n, others
+    fac = lu_factorization(m)
+    basis = orthonormalize(m[:, others])
+    xc = m[:, column]
+    return m, others, fac, basis, xc - project_onto(basis, xc)
 
 
 def construct_witness_vector(a, column: int = 0) -> np.ndarray:
     """x = X_c - P X_c; raises SingularMatrix when A fails the pivot test."""
-    m, _, others = _validated(a, column)
-    lu_factorization(m)  # invertibility gate only
-    basis = orthonormalize(m[:, others])
-    xc = m[:, column]
-    return xc - project_onto(basis, xc)
+    return _witness_parts(a, column)[-1]
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,7 @@ class _WitnessState:
 
 
 def _witness_state(a, column: int) -> _WitnessState:
-    m, _, others = _validated(a, column)
-    fac = lu_factorization(m)
-    basis = orthonormalize(m[:, others])
-    xc = m[:, column]
-    x = xc - project_onto(basis, xc)
+    m, others, fac, basis, x = _witness_parts(a, column)
     duals = np.ascontiguousarray(fac.inverse())
     projected = (duals @ basis.vectors.T) @ basis.vectors
     return _WitnessState(
@@ -239,6 +235,11 @@ def independence_probe(fixed_columns, trials: int, master_seed: int,
     max_deviation is the largest 2-norm change of any Y_k relative to
     the first nonsingular trial; functional independence from the
     distinguished column means it stays at rounding level (<= 1e-9).
+
+    The loop is its own, not harness.map_trials: a trial resamples one
+    column rather than a whole matrix, and a singular draw is skipped
+    and counted in singular_skipped rather than redrawn, so the probe
+    compares exactly the trials it was asked for.
     """
     cols = np.asarray(fixed_columns, dtype=np.float64)
     if cols.ndim != 2 or cols.shape[1] != cols.shape[0] - 1:

@@ -1,15 +1,23 @@
 """Monte Carlo harness: determinism, tail sweeps, CSV schema, exact bound checks, fits."""
 
+import ctypes
+import os
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy
 
 from oracles import half_normal_cdf, ks_statistic
 
+from lsvkit import harness
 from lsvkit.ensembles import GAUSSIAN, RADEMACHER, SeedSpec, sample_matrix
 from lsvkit.errors import EnumerationTooLarge, InsufficientData, InvalidDimension
 from lsvkit.harness import (
     DIST_THRESHOLDS,
     MAX_WORKERS,
+    PINNED_BLAS,
     RESAMPLE_STRIDE,
     TAIL_CSV_HEADER,
     TailEstimate,
@@ -107,6 +115,96 @@ def test_map_trials_bounds():
     assert calls == []  # every bound is checked before any trial runs
     with pytest.raises(RuntimeError):
         map_trials(lambda master_seed, streams: [None] * len(streams), 3, 0, block=2)
+
+
+def _blas_thread_counts():
+    # each pinned OpenBLAS's thread count, read through its own getter
+    counts = {}
+    for package in (np, scipy):
+        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for path in sorted(libs.glob("*openblas*.so*")):
+            if path.name in PINNED_BLAS:
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+                getter = next(getattr(lib, name) for name in (
+                    "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                    "openblas_get_num_threads") if hasattr(lib, name))
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                counts[path.name] = getter()
+    return counts
+
+
+class _ComputeFailed(Exception):
+    pass
+
+
+@pytest.mark.skipif(not PINNED_BLAS, reason="no bundled OpenBLAS to pin")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_trials_pins_one_blas_thread_and_restores(workers):
+    before = _blas_thread_counts()
+    assert set(before) == set(PINNED_BLAS)
+    seen = []
+
+    def compute(master_seed, streams):
+        seen.append(_blas_thread_counts())
+        return [int(s) for s in streams]
+
+    values, _ = map_trials(compute, 12, 0, workers)
+    assert values == list(range(12))
+    assert seen and all(counts == dict.fromkeys(PINNED_BLAS, 1) for counts in seen)
+    assert _blas_thread_counts() == before
+
+    def failing(master_seed, streams):
+        raise _ComputeFailed
+
+    with pytest.raises(_ComputeFailed):
+        map_trials(failing, 12, 0, workers)
+    assert _blas_thread_counts() == before
+
+
+@pytest.mark.skipif(not PINNED_BLAS, reason="no bundled OpenBLAS to pin")
+def test_blas_pin_holds_under_thread_switching():
+    # more workers than cores, switching constantly: a lost update to the
+    # pin's shared depth would unpin a running chunk or leave the pin behind
+    before = _blas_thread_counts()
+    seen = []
+
+    def compute(master_seed, streams):
+        seen.append(_blas_thread_counts())
+        return [int(s) for s in streams]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        values, _ = map_trials(compute, 256, 0, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert values == list(range(256))
+    assert len(seen) == 256 and all(counts == dict.fromkeys(PINNED_BLAS, 1) for counts in seen)
+    assert _blas_thread_counts() == before
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_trials_without_blas_libraries(monkeypatch, workers):
+    pinned = scaled_sn_samples(GAUSSIAN, 20, 30, 41, workers)
+    monkeypatch.setattr(harness, "_OPENBLAS", ())
+    before = _blas_thread_counts()
+    seen = []
+
+    def compute(master_seed, streams):
+        seen.append(_blas_thread_counts())
+        return [int(s) for s in streams]
+
+    assert map_trials(compute, 12, 0, workers)[0] == list(range(12))
+    assert seen and all(counts == before for counts in seen)  # nothing pinned
+    unpinned = scaled_sn_samples(GAUSSIAN, 20, 30, 41, workers)
+    assert pinned[0].tobytes() == unpinned[0].tobytes() and pinned[1] == unpinned[1]
+
+
+def test_pinned_workers_match_one_worker_bitwise():
+    one, sing_one = scaled_sn_samples(GAUSSIAN, 100, 64, 53, workers=1)
+    two, sing_two = scaled_sn_samples(GAUSSIAN, 100, 64, 53, workers=2)
+    assert one.tobytes() == two.tobytes() and sing_one == sing_two
 
 
 # ---- run_tail_sweep ---------------------------------------------------------

@@ -12,6 +12,7 @@ from oracles import inverse_cofactor, solve_cofactor
 
 from lsvkit import linalg
 from lsvkit.ensembles import (
+    ENSEMBLES,
     GAUSSIAN,
     RADEMACHER,
     SeedSpec,
@@ -31,7 +32,6 @@ from lsvkit.linalg import (
     dist_to_subspace,
     dual_basis,
     inverse,
-    is_singular,
     leave_one_out_distances,
     lu_factorization,
     lu_solve,
@@ -50,6 +50,14 @@ def _vector(seed, n=6):
     return sample_array(GAUSSIAN, (n,), SeedSpec(seed, 1))
 
 
+def _is_singular(a) -> bool:
+    try:
+        lu_factorization(a)
+    except SingularMatrix:
+        return True
+    return False
+
+
 # ---- leave_one_out_distances -----------------------------------------------
 
 def test_leave_one_out_distances_match_inverse_row_norms():
@@ -63,6 +71,87 @@ def test_leave_one_out_distances_of_one_column_is_its_norm():
     col = np.array([[3.0], [4.0]])
     assert leave_one_out_distances(col).tolist() == [5.0]
 
+
+def _leave_one_out_reference(cols):
+    # one QR per deleted column, each distance projected on its own
+    m = linalg.as_matrix(cols)
+    n, k = m.shape
+    out = np.empty(k)
+    for j in range(k):
+        others = np.delete(m, j, axis=1)
+        if others.shape[1]:
+            basis = orthonormalize(others)
+        else:
+            basis = OrthonormalBasis(ambient_dim=n, vectors=np.empty((0, n)))
+        out[j] = dist_to_subspace(m[:, j], basis)
+    return out
+
+
+def _outcome(f, a):
+    # the distances' bytes, or the exception's type, message and index
+    try:
+        return f(a).tobytes()
+    except Exception as e:  # every outcome is compared, whatever it raises
+        return type(e), str(e), getattr(e, "index", None)
+
+
+@pytest.mark.parametrize("kind", sorted(ENSEMBLES))
+@pytest.mark.parametrize("n", [2, 3, 5, 20, 60])
+def test_leave_one_out_distances_match_per_column_route_bitwise(kind, n):
+    # small sign matrices are often singular, so some outcomes are exceptions
+    for seed in range(40):
+        a = sample_matrix(ENSEMBLES[kind], n, SeedSpec(seed, 0))
+        assert _outcome(leave_one_out_distances, a) == _outcome(_leave_one_out_reference, a)
+
+
+@pytest.mark.parametrize("entries", [1, 84, 126, 210, 1 << 15])
+def test_leave_one_out_groups_split_anywhere(monkeypatch, entries):
+    # at n = 7 one column deletion of an m-column input holds 7 * (m - 1)
+    # entries, so 7 and 6 columns split into groups of 1, 2, 3, 5 or 6, and all
+    monkeypatch.setattr(linalg, "LOO_QR_ENTRIES", entries)
+    a = _matrix(31, n=7)
+    for cols in (a, a[:, 1:], a[:, :1], a.T):
+        assert leave_one_out_distances(cols).tobytes() == _leave_one_out_reference(cols).tobytes()
+
+
+@pytest.mark.parametrize("entries", [1, 48, 72, 1 << 15])
+def test_leave_one_out_raises_as_per_column_route(monkeypatch, entries):
+    # groups of 1, 2, 3 and all 5 column deletions (24 entries each)
+    monkeypatch.setattr(linalg, "LOO_QR_ENTRIES", entries)
+    base = _matrix(32, n=6)[:, :5]
+    cases = [np.ones((3, 5)), np.ones((3, 4)), np.zeros((0, 1))]
+    for i in range(5):
+        zero = base.copy()
+        zero[:, i] = 0.0
+        cases.append(zero)
+        for j in range(5):
+            if j != i:
+                dup = base.copy()
+                dup[:, j] = dup[:, i]
+                cases.append(dup)
+                # a zero column whose own deletion is clean, then a dependence elsewhere
+                both = zero.copy()
+                both[:, (j + 1) % 5] = both[:, j]
+                cases.append(both)
+    for cols in cases:
+        expected = _outcome(_leave_one_out_reference, cols)
+        assert isinstance(expected, tuple)  # every case raises
+        assert _outcome(leave_one_out_distances, cols) == expected
+
+
+def test_leave_one_out_raises_orthonormality_defect_as_per_column_route(monkeypatch):
+    # Householder Q is orthonormal to rounding, so a stretched Q stands in for a defect
+    qr = np.linalg.qr
+
+    def stretched_qr(a, mode="reduced"):
+        q, r = qr(a, mode=mode)
+        return 2.0 * q, r
+
+    monkeypatch.setattr(np.linalg, "qr", stretched_qr)
+    a = _matrix(33, n=5)
+    expected = _outcome(_leave_one_out_reference, a)
+    assert expected[:2] == (ValueError, "rows are not orthonormal (defect 3.000e+00)")
+    assert _outcome(leave_one_out_distances, a) == expected
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
@@ -98,10 +187,10 @@ def test_singularity_policy():
         lu_solve(rank1, np.ones(3))
     dup = _matrix(9).copy()
     dup[:, 2] = dup[:, 0]
-    assert is_singular(dup)
+    assert _is_singular(dup)
     # pivot threshold is relative to the largest column norm
-    assert is_singular(np.diag([1.0, 1e-14]))
-    assert not is_singular(np.diag([1.0, 1e-12]))
+    assert _is_singular(np.diag([1.0, 1e-14]))
+    assert not _is_singular(np.diag([1.0, 1e-12]))
 
 
 def test_inverse_matches_cofactor_oracle():
@@ -152,7 +241,7 @@ def test_stack_pivot_test_matches_per_matrix_route(n):
     # sign matrices are singular with positive probability, so both outcomes occur
     stack = sample_matrices(RADEMACHER, n, 3, np.arange(400, dtype=np.uint64))
     values = smallest_singular_values(stack)
-    singular = np.array([is_singular(m) for m in stack])
+    singular = np.array([_is_singular(m) for m in stack])
     assert 0 < singular.sum() < len(stack)
     assert np.array_equal(values == 0.0, singular)
     assert values[~singular].tolist() == [smallest_singular_value(m) for m in stack[~singular]]

@@ -42,3 +42,26 @@ def test_only_linalg_factors_lu():
              for path in sorted(Path(lsvkit.__file__).parent.glob("*.py"))}
     assert found.pop("linalg.py")
     assert {name: refs for name, refs in found.items() if refs} == {}
+
+
+def _blas_thread_references(tree):
+    """ctypes imports and names of OpenBLAS's thread-count setter."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if a.name.partition(".")[0] == "ctypes")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "ctypes":
+            yield node.module
+        elif isinstance(node, ast.Name) and node.id == "openblas_set_num_threads_local":
+            yield node.id
+        elif isinstance(node, ast.Attribute) and node.attr == "openblas_set_num_threads_local":
+            yield node.attr
+        elif isinstance(node, ast.Constant) and node.value == "openblas_set_num_threads_local":
+            yield node.value
+
+
+def test_only_harness_sets_blas_threads():
+    # one owner of the process-wide BLAS thread count: map_trials' pin
+    found = {path.name: list(_blas_thread_references(ast.parse(path.read_text(encoding="utf-8"))))
+             for path in sorted(Path(lsvkit.__file__).parent.glob("*.py"))}
+    assert found.pop("harness.py")
+    assert {name: refs for name, refs in found.items() if refs} == {}
