@@ -55,12 +55,16 @@ _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    z = z.copy()
-    z ^= z >> np.uint64(30)
+    """Apply mix to the uint64 array z in place; returns z."""
+    t = np.empty_like(z)
+    np.right_shift(z, np.uint64(30), out=t)
+    z ^= t
     z *= _M1
-    z ^= z >> np.uint64(27)
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
     z *= _M2
-    z ^= z >> np.uint64(31)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
     return z
 
 
@@ -102,10 +106,25 @@ def stream_keys(master_seed: int, streams) -> np.ndarray:
 
 
 def _uniforms(keys: np.ndarray, start: int, count: int) -> np.ndarray:
-    """Uniforms for counters start .. start+count-1 of each key, along the last axis."""
-    c = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    w = _mix(keys + c * _G)
-    return ((w >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+    """Uniforms for counters start .. start+count-1 of each key, along the last axis.
+
+    One array carries the counters, the raw words and, viewed as float64
+    in place, the uniforms.
+    """
+    w = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    w *= _G
+    if keys.ndim:
+        w = keys + w  # a (b, 1) block of keys spreads the counters over b rows
+    else:
+        w += keys
+    _mix(w)
+    w >>= np.uint64(12)
+    flat = w.reshape(-1)
+    u = flat.view(np.float64)
+    u[...] = flat  # 1-D, element over element: numpy casts this in place, without a temporary
+    u += 0.5
+    u *= 2.0**-52
+    return u.reshape(w.shape)
 
 
 def uniform_stream(seed: SeedSpec, start: int, count: int) -> np.ndarray:

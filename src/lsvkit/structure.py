@@ -36,7 +36,10 @@ UNIT_NORM_TOL = 1e-10
 LCD_GRID_BUDGET = 10_000_000
 LCD_SAMPLE_BUDGET = 10_000
 
-_SCAN_CHUNK = 1 << 16
+# Entries (grid points x n, or trials x n) per block of the LCD scan and of
+# the small-ball draws: small enough to stay in cache, large enough to
+# amortize the per-block numpy calls.  No result depends on it.
+BLOCK_ENTRIES = 1 << 16
 
 
 def default_alpha(n: int) -> float:
@@ -113,21 +116,55 @@ class LcdResult:
         return self.theta_star is None
 
 
-def _admissible(thetas: np.ndarray, a: np.ndarray, a_norm: float, q: LcdQuery) -> np.ndarray:
-    pts = thetas[:, None] * a[None, :]
-    resid = pts - _round_half_away(pts)
-    d = np.linalg.norm(resid, axis=1)
-    return d < np.minimum(q.gamma * thetas * a_norm, q.alpha)
+class _LcdBuffers:
+    """Work arrays of one lcd_vector call, reused by every admissibility test."""
+
+    def __init__(self, rows: int, n: int):
+        self.thetas = np.empty(rows)
+        self.points = np.empty((rows, n))
+        self.rounded = np.empty((rows, n))
+        self.dists = np.empty(rows)
+        self.limits = np.empty(rows)
+        self.ok = np.empty(rows, dtype=bool)
+
+
+def _first_admissible(thetas: np.ndarray, a: np.ndarray, a_norm: float, q: LcdQuery,
+                      buf: _LcdBuffers) -> int | None:
+    """Index of the first admissible entry of thetas (at most buf's rows), or None.
+
+    Same operations, in the same order, as the unbuffered route:
+    _round_half_away, np.linalg.norm(axis=1) (sqrt of add.reduce of the
+    squares) and (gamma*theta)*||a||, so every decision is bitwise the same.
+    """
+    m = thetas.shape[0]
+    pts, rnd = buf.points[:m], buf.rounded[:m]
+    dists, limits, ok = buf.dists[:m], buf.limits[:m], buf.ok[:m]
+    np.multiply(thetas[:, None], a, out=pts)
+    np.copysign(0.5, pts, out=rnd)  # _round_half_away, written into rnd
+    rnd += pts
+    np.trunc(rnd, out=rnd)
+    np.subtract(pts, rnd, out=pts)
+    pts *= pts
+    np.add.reduce(pts, axis=1, out=dists)
+    np.sqrt(dists, out=dists)
+    np.multiply(thetas, q.gamma, out=limits)
+    limits *= a_norm
+    np.minimum(limits, q.alpha, out=limits)
+    np.less(dists, limits, out=ok)
+    i = int(ok.argmax())
+    return i if ok[i] else None
 
 
 def lcd_vector(a, q: LcdQuery) -> LcdResult:
     """Smallest admissible theta in (0, theta_max], to grid + bisection accuracy.
 
-    Scans the grid k*step in order (chunked; the reduction is a minimum,
-    so partitioning cannot change the answer), then bisects between the
-    first admissible grid point and its non-admissible predecessor down
-    to BISECTION_TOL.  A grid longer than LCD_GRID_BUDGET points is
-    rejected with InvalidQuery instead of scanned.
+    Scans the grid k*step in order, max(1, BLOCK_ENTRIES // n) points at
+    a time through buffers allocated once per call (the reduction is a
+    minimum, so partitioning cannot change the answer), then bisects
+    between the first admissible grid point and its non-admissible
+    predecessor down to BISECTION_TOL.  A grid longer than
+    LCD_GRID_BUDGET points is rejected with InvalidQuery instead of
+    scanned.
     """
     vec = as_vector(a)
     with np.errstate(over="ignore"):  # an overflowing norm is rejected just below
@@ -140,19 +177,25 @@ def lcd_vector(a, q: LcdQuery) -> LcdResult:
             f"theta_max/step = {q.theta_max / step:.3e} grid points exceeds budget {LCD_GRID_BUDGET}")
 
     n_pts = int(np.floor(q.theta_max / step))
+    chunk = max(1, min(BLOCK_ENTRIES // vec.shape[0], n_pts))
+    buf = _LcdBuffers(chunk, vec.shape[0])
+    offsets = np.arange(chunk, dtype=np.float64)
+
+    def admissible(theta: float) -> bool:
+        return _first_admissible(np.array([theta]), vec, a_norm, q, buf) is not None
+
     hit = None
-    for lo_idx in range(1, n_pts + 1, _SCAN_CHUNK):
-        hi_idx = min(lo_idx + _SCAN_CHUNK, n_pts + 1)
-        thetas = np.arange(lo_idx, hi_idx, dtype=np.float64) * step
-        ok = _admissible(thetas, vec, a_norm, q)
-        where = np.flatnonzero(ok)
-        if where.size:
-            hit = float(thetas[where[0]])
+    for lo_idx in range(1, n_pts + 1, chunk):
+        thetas = buf.thetas[:min(chunk, n_pts + 1 - lo_idx)]
+        # arange(lo_idx, ...) * step exactly, since integers below 2**53 are exact
+        np.add(offsets[:thetas.shape[0]], lo_idx, out=thetas)
+        thetas *= step
+        i = _first_admissible(thetas, vec, a_norm, q, buf)
+        if i is not None:
+            hit = float(thetas[i])
             break
-    if hit is None and n_pts * step < q.theta_max:
-        # cover the ragged end of the interval
-        if bool(_admissible(np.array([q.theta_max]), vec, a_norm, q)[0]):
-            hit = float(q.theta_max)
+    if hit is None and n_pts * step < q.theta_max and admissible(q.theta_max):
+        hit = float(q.theta_max)  # the ragged end of the interval
     if hit is None:
         return LcdResult(theta_star=None, achieved_dist=None, certificate=None, slack=0.0)
 
@@ -160,7 +203,7 @@ def lcd_vector(a, q: LcdQuery) -> LcdResult:
     hi = hit
     while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
-        if bool(_admissible(np.array([mid]), vec, a_norm, q)[0]):
+        if admissible(mid):
             hi = mid
         else:
             lo = mid
@@ -220,7 +263,8 @@ def small_ball_estimate(weights, ensemble: Ensemble, epsilon: float, trials: int
     """Monte Carlo P(|sum_i w_i xi_i| <= epsilon) for unit-norm weights.
 
     Entry (t, i) of the sample block sits at counter t*n + i of the
-    stream, so chunking over trials reproduces the same draws exactly.
+    stream, so drawing max(1, BLOCK_ENTRIES // n) trials at a time
+    reproduces the same draws exactly in bounded memory.
     """
     w = as_vector(weights)
     if abs(float(np.linalg.norm(w)) - 1.0) > UNIT_NORM_TOL:
@@ -230,7 +274,7 @@ def small_ball_estimate(weights, ensemble: Ensemble, epsilon: float, trials: int
     if trials < 1:
         raise InvalidQuery(f"trials must be >= 1, got {trials}")
     n = w.shape[0]
-    chunk = max(1, 4_000_000 // n)
+    chunk = max(1, BLOCK_ENTRIES // n)
     hits = 0
     for t0 in range(0, trials, chunk):
         m = min(chunk, trials - t0)

@@ -109,6 +109,51 @@ def test_block_sampling_matches_per_stream_sampling(kind):
         assert stack[b].tobytes() == sample_matrix(ens, 4, SeedSpec(2024, s)).tobytes()
 
 
+# Pure-Python-int reference of the scheme in the ensembles docstring: every
+# sum and product is reduced mod 2**64 explicitly, so it shares no code and
+# no wraparound behaviour with the in-place uint64 arrays it checks.
+_MASK = 2**64 - 1
+_G_INT = 0x9E3779B97F4A7C15
+
+
+def _ref_mix(z):
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & _MASK
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _ref_key(master_seed, stream_index):
+    return _ref_mix(_ref_mix((master_seed + _G_INT) & _MASK)
+                    ^ _ref_mix((stream_index + 2 * _G_INT) & _MASK))
+
+
+def _ref_uniforms(key, start, count):
+    words = (_ref_mix((key + (m + 1) * _G_INT) & _MASK) for m in range(start, start + count))
+    return np.array([((w >> 12) + 0.5) * 2.0**-52 for w in words])
+
+
+@pytest.mark.parametrize("start", [0, 1, 2**32 - 3, 2**63 - 2, 2**64 - 40])
+def test_uniform_stream_matches_python_int_reference(start):
+    # (m + 1) * G passes 2**64 for every m >= 1; near 2**63 and 2**64 it wraps many times
+    for seed in (SeedSpec(0, 0), SeedSpec(2**64 - 1, 2**64 - 1), SeedSpec(7, 2**63)):
+        got = uniform_stream(seed, start, 37)
+        assert got.tobytes() == _ref_uniforms(_ref_key(seed.master_seed, seed.stream_index),
+                                              start, 37).tobytes()
+
+
+@pytest.mark.parametrize("streams", [[5], [0, 1, 2**63, 2**64 - 1]])
+def test_sample_matrices_uniforms_match_python_int_reference(streams):
+    # the uniform ensemble is an exact affine map of u, so the uniforms show
+    # through; streams become a (b, 1) key block, b = 1 included
+    n = 3
+    stack = sample_matrices(UNIFORM, n, 2**64 - 1, np.array(streams, dtype=np.uint64))
+    for b, s in enumerate(streams):
+        u = _ref_uniforms(_ref_key(2**64 - 1, s), 0, n * n)
+        assert stack[b].tobytes() == (np.sqrt(3.0) * (2.0 * u - 1.0)).reshape(n, n).tobytes()
+
+
 def test_dimension_validation():
     with pytest.raises(InvalidDimension):
         sample_matrix(GAUSSIAN, 1, SeedSpec(0, 0))

@@ -1,5 +1,7 @@
 """Lattice distance, LCD search and small-ball estimation vs grid/enumeration oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,8 @@ from oracles import (
     rademacher_small_ball_exact,
 )
 
-from lsvkit.ensembles import GAUSSIAN, RADEMACHER, SeedSpec, sample_array
+from lsvkit import structure
+from lsvkit.ensembles import ENSEMBLES, GAUSSIAN, RADEMACHER, SeedSpec, sample_array
 from lsvkit.errors import InvalidQuery
 from lsvkit.linalg import OrthonormalBasis, orthonormalize
 from lsvkit.structure import (
@@ -181,6 +184,141 @@ def test_lcd_unbounded_when_horizon_too_small():
     assert res.unbounded
 
 
+def _lcd_bytes(res):
+    """Every field of an LcdResult, as bytes, so equality is bitwise."""
+    return tuple(None if v is None else np.asarray(v).tobytes()
+                 for v in (res.theta_star, res.achieved_dist, res.slack, res.certificate,
+                           res.n_samples, res.direction))
+
+
+# rows per scan block of 1, 7 and 64 grid points; the default holds thousands
+_BLOCK_ROWS = (1, 7, 64)
+
+_E1 = np.array([1.0, 0.0])
+# theta e1 is admissible at gamma 0.5 exactly past 2/3, so this step puts the
+# first admissible grid point at index 449 = 1 + 7*64, which opens a block
+# at every patched size while the default block covers it from index 1
+_STEP_449 = (2.0 / 3.0) / 448.5
+
+
+@pytest.mark.parametrize("a, q, check", [
+    (_E1, LcdQuery(alpha=10.0, gamma=0.5, theta_max=100.0, grid_step=_STEP_449),
+     lambda r: 448 * _STEP_449 < r.theta_star <= 449 * _STEP_449),
+    # grid stops at 26 * 0.025 = 0.65; only the ragged end 0.67 is admissible
+    (_E1, LcdQuery(alpha=10.0, gamma=0.5, theta_max=0.67),
+     lambda r: 0.65 < r.theta_star <= 0.67),
+    (sample_array(GAUSSIAN, (20,), SeedSpec(3, 3)), LcdQuery(alpha=2.0, gamma=0.3, theta_max=50.0),
+     lambda r: not r.unbounded),
+    (sample_array(GAUSSIAN, (5,), SeedSpec(4, 3)), LcdQuery(alpha=0.1, gamma=0.05, theta_max=30.0),
+     lambda r: r.unbounded),
+], ids=["first-point-of-later-block", "ragged-end", "hit-n20", "unbounded"])
+def test_lcd_scan_block_size_makes_no_difference(monkeypatch, a, q, check):
+    default = lcd_vector(a, q)
+    assert check(default)
+    for rows in _BLOCK_ROWS:
+        monkeypatch.setattr(structure, "BLOCK_ENTRIES", rows * a.shape[0])
+        assert _lcd_bytes(lcd_vector(a, q)) == _lcd_bytes(default), rows
+
+
+def test_lcd_subspace_block_size_makes_no_difference(monkeypatch):
+    basis = orthonormalize(sample_array(GAUSSIAN, (6, 3), SeedSpec(8, 0)))
+    q = LcdQuery(alpha=np.sqrt(6.0) / 2.0, gamma=0.5, theta_max=20.0)
+    default = lcd_subspace_sampled(basis, q, samples=4, seed=SeedSpec(8, 1))
+    assert not default.unbounded
+    for rows in _BLOCK_ROWS:
+        monkeypatch.setattr(structure, "BLOCK_ENTRIES", rows * 6)
+        got = lcd_subspace_sampled(basis, q, samples=4, seed=SeedSpec(8, 1))
+        assert _lcd_bytes(got) == _lcd_bytes(default), rows
+
+
+def _reference_terms(thetas, a, a_norm, q):
+    """Lattice distances of thetas * a and their admissibility limits, in fresh arrays."""
+    pts = thetas[:, None] * a[None, :]
+    d = np.linalg.norm(pts - np.trunc(pts + np.copysign(0.5, pts)), axis=1)
+    return d, np.minimum(q.gamma * thetas * a_norm, q.alpha)
+
+
+def _reference_lcd_vector(a, q):
+    """lcd_vector as plain whole-array numpy: the whole grid in one block, fresh arrays."""
+    a_norm = float(np.linalg.norm(a))
+    step = q.resolved_step(a_norm)
+
+    def admissible(thetas):
+        d, limit = _reference_terms(thetas, a, a_norm, q)
+        return d < limit
+
+    n_pts = int(np.floor(q.theta_max / step))
+    thetas = np.arange(1, n_pts + 1, dtype=np.float64) * step
+    where = np.flatnonzero(admissible(thetas))
+    if where.size:
+        hit = float(thetas[where[0]])
+    elif n_pts * step < q.theta_max and admissible(np.array([q.theta_max]))[0]:
+        hit = q.theta_max
+    else:
+        return None
+    lo, hi = max(hit - step, 0.0), hit
+    while hi - lo > structure.BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if admissible(np.array([mid]))[0]:
+            hi = mid
+        else:
+            lo = mid
+    d, cert = dist_to_lattice(hi * a)
+    return hi, d, hi - lo, cert
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 33])
+def test_lcd_vector_matches_whole_array_reference_bitwise(n):
+    hits = 0
+    for seed in range(8):
+        a = sample_array(GAUSSIAN, (n,), SeedSpec(seed, 9))
+        if seed % 2:
+            a /= np.linalg.norm(a)
+        for alpha, gamma, theta_max in ((0.5 * np.sqrt(n), 0.5, 20.0), (0.5, 0.05, 40.0),
+                                        (10.0, 0.3, 7.3)):
+            q = LcdQuery(alpha=alpha, gamma=gamma, theta_max=theta_max)
+            res, ref = lcd_vector(a, q), _reference_lcd_vector(a, q)
+            if ref is None:
+                assert res.unbounded
+                continue
+            hits += 1
+            assert (res.theta_star, res.achieved_dist, res.slack) == ref[:3]
+            assert res.certificate.tobytes() == ref[3].tobytes()
+    assert hits >= 8
+
+
+def test_admissibility_buffers_repeat_reference_arithmetic():
+    # the distances and limits themselves, bit for bit, not only the decisions
+    # they lead to: a reordered sum or product rarely flips a decision
+    for n in (1, 7, 20, 33):
+        a = sample_array(GAUSSIAN, (n,), SeedSpec(n, 10))
+        a_norm = float(np.linalg.norm(a))
+        q = LcdQuery(alpha=0.5 * np.sqrt(n), gamma=0.3)
+        thetas = np.arange(1, 2001, dtype=np.float64) * 0.0137
+        buf = structure._LcdBuffers(thetas.size, n)
+        structure._first_admissible(thetas, a, a_norm, q, buf)
+        d, limit = _reference_terms(thetas, a, a_norm, q)
+        assert buf.dists.tobytes() == d.tobytes()
+        assert buf.limits.tobytes() == limit.tobytes()
+
+
+def test_lcd_vector_memory_is_bounded():
+    # tracemalloc sees numpy's data buffers; an unbounded scan of 8e5 and
+    # 8e6 grid points must still work in a few blocks' worth of memory
+    a = sample_array(GAUSSIAN, (20,), SeedSpec(3, 3))
+    a /= np.linalg.norm(a)
+    for theta_max in (1e3, 1e4):
+        q = LcdQuery(alpha=0.1, gamma=0.05, theta_max=theta_max, grid_step=1.25e-3)
+        tracemalloc.start()
+        try:
+            res = lcd_vector(a, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.unbounded
+        assert peak < 4e6, (theta_max, peak)
+
+
 # ---- lcd_subspace_sampled -------------------------------------------------------
 
 def test_subspace_one_dimensional_reduces_to_vector():
@@ -267,6 +405,37 @@ def test_small_ball_hits_match_direct_recount():
     est = small_ball_estimate(w, GAUSSIAN, 0.25, trials, SeedSpec(14, 1))
     draws = sample_array(GAUSSIAN, (trials, 7), SeedSpec(14, 1))
     assert est.hits == int(np.count_nonzero(np.abs(draws @ w) <= 0.25))
+
+
+@pytest.mark.parametrize("kind", sorted(ENSEMBLES))
+def test_small_ball_block_size_makes_no_difference(monkeypatch, kind):
+    # 1000 trials is no multiple of 7 or 64, so the last block is short;
+    # student_t5 takes 6 uniforms per entry
+    ens = ENSEMBLES[kind]
+    for n in (1, 3, 20):
+        w = sample_array(GAUSSIAN, (n,), SeedSpec(16, n))
+        w /= np.linalg.norm(w)
+        default = small_ball_estimate(w, ens, 0.4, 1000, SeedSpec(16, 1))
+        # +-w with n = 1 never comes within 0.4 of 0 under rademacher signs
+        assert 0 < default.hits < 1000 or (kind, n) == ("rademacher", 1)
+        for rows in _BLOCK_ROWS:
+            monkeypatch.setattr(structure, "BLOCK_ENTRIES", rows * n)
+            got = small_ball_estimate(w, ens, 0.4, 1000, SeedSpec(16, 1))
+            assert got == default, (n, rows)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("trials", [150_000, 1_500_000])
+def test_small_ball_memory_is_bounded(trials):
+    w = np.ones(20) / np.sqrt(20.0)
+    tracemalloc.start()
+    try:
+        est = small_ball_estimate(w, GAUSSIAN, 0.1, trials, SeedSpec(17, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.trials == trials
+    assert peak < 4e6, peak
 
 
 def test_small_ball_validation():
