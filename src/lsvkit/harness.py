@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .ensembles import Ensemble, SeedSpec, sample_matrices, sample_matrix
+from .ensembles import Ensemble, sample_matrices
 from .errors import (
     EnumerationTooLarge,
     InsufficientData,
@@ -41,15 +41,17 @@ from .errors import (
     NumericallyDependent,
 )
 from .linalg import dist_to_subspace, orthonormalize, smallest_singular_values
-# bench/layers.py traces harness.smallest_singular_value by name
-from .linalg import smallest_singular_value  # noqa: F401
 from .stats import wilson_interval
+
+# bench/layers.py traces these per-matrix names by rebinding them here
+from .ensembles import sample_matrix  # noqa: F401
+from .linalg import smallest_singular_value  # noqa: F401
 
 RESAMPLE_STRIDE = 1 << 32
 _MAX_RESAMPLE_ROUNDS = 64
 MAX_WORKERS = 64
-# Matrix entries sampled per block in scaled_sn_samples: large enough to
-# amortize per-call overhead, small enough to keep peak memory flat.
+# Matrix entries sampled per map_trials block: large enough to amortize
+# per-call overhead, small enough to keep peak memory flat.
 BLOCK_ENTRIES = 1 << 14
 
 DIST_THRESHOLDS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
@@ -125,29 +127,31 @@ class _OneBlasThread:
 _one_blas_thread = _OneBlasThread()
 
 
-def map_trials(compute, trials: int, master_seed: int, workers: int = 1,
-               block: int = 1) -> tuple[list, int]:
-    """Every trial of a run, in blocks; returns (values by trial, rejected draws).
+def map_trials(score, ensemble: Ensemble, n: int, trials: int, master_seed: int,
+               workers: int = 1) -> tuple[list, int]:
+    """Every trial's n x n matrix, scored in blocks; returns (values by trial, rejected draws).
 
-    compute(master_seed, streams) gets a uint64 array of at most block
-    stream indices and returns one value per stream, None to reject that
-    draw.  Trial t first draws from stream t of master_seed; rejection
-    round r uses stream r * RESAMPLE_STRIDE + t, so resampling never
-    collides with other trials' streams.  A block's rejected trials are
-    redrawn together as a smaller block.  workers only partitions
-    range(trials) into chunks run on a thread pool, and block only
-    splits chunks, so neither ever changes a value.  Each chunk runs with
-    the bundled OpenBLAS copies (PINNED_BLAS) at one thread, restored
-    afterwards; where none is found the chunk runs unpinned.
+    Trial t first draws its matrix from stream t of master_seed;
+    rejection round r uses stream r * RESAMPLE_STRIDE + t, so resampling
+    never collides with other trials' streams.  Matrices are drawn with
+    sample_matrices, max(1, BLOCK_ENTRIES // n**2) at a time, and
+    score(stack) returns one value per matrix of the stack, None to
+    reject that draw; a block's rejected trials are redrawn together as
+    a smaller block.  workers only partitions range(trials) into chunks
+    run on a thread pool, and the block size only splits chunks, so
+    neither ever changes a value.  Each chunk runs with the bundled
+    OpenBLAS copies (PINNED_BLAS) at one thread, restored afterwards;
+    where none is found the chunk runs unpinned.
     """
+    if n < 2:
+        raise InvalidDimension(f"n must be >= 2, got {n}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if trials > RESAMPLE_STRIDE:
         raise ValueError("trials must not exceed 2**32 (resample stream layout)")
     if workers > MAX_WORKERS:
         raise ValueError(f"workers must not exceed {MAX_WORKERS}, got {workers}")
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
+    block = max(1, BLOCK_ENTRIES // (n * n))
 
     def run_block(t0: int, t1: int):
         values = [None] * (t1 - t0)
@@ -155,8 +159,9 @@ def map_trials(compute, trials: int, master_seed: int, workers: int = 1,
         rejected = 0
         for r in range(_MAX_RESAMPLE_ROUNDS):
             streams = np.array(pending, dtype=np.uint64) + np.uint64(r * RESAMPLE_STRIDE)
+            stack = sample_matrices(ensemble, n, master_seed, streams)
             retry = []
-            for t, value in zip(pending, compute(master_seed, streams), strict=True):
+            for t, value in zip(pending, score(stack), strict=True):
                 if value is None:
                     retry.append(t)
                 else:
@@ -190,15 +195,11 @@ def map_trials(compute, trials: int, master_seed: int, workers: int = 1,
 def scaled_sn_samples(ensemble: Ensemble, n: int, trials: int, master_seed: int,
                       workers: int = 1) -> tuple[np.ndarray, int]:
     """sqrt(n) * s_n over trials streams; returns (values by trial, singular_count)."""
-    if n < 2:
-        raise InvalidDimension(f"n must be >= 2, got {n}")
 
-    def compute(seed: int, streams: np.ndarray):
-        s = smallest_singular_values(sample_matrices(ensemble, n, seed, streams))
-        return [v if v > 0.0 else None for v in s]
+    def score(stack: np.ndarray):
+        return [v if v > 0.0 else None for v in smallest_singular_values(stack)]
 
-    values, singular = map_trials(compute, trials, master_seed, workers,
-                                  block=max(1, BLOCK_ENTRIES // (n * n)))
+    values, singular = map_trials(score, ensemble, n, trials, master_seed, workers)
     return np.array(values) * np.sqrt(n), singular
 
 
@@ -329,8 +330,6 @@ def distance_tail_experiment(ensemble: Ensemble, n: int, trials: int, master_see
     Draws whose non-distinguished columns are numerically dependent are
     resampled like singular draws in the s_n sweeps.
     """
-    if n < 2:
-        raise InvalidDimension(f"n must be >= 2, got {n}")
 
     def distance(m: np.ndarray):
         try:
@@ -339,10 +338,8 @@ def distance_tail_experiment(ensemble: Ensemble, n: int, trials: int, master_see
             return None
         return dist_to_subspace(m[:, 0], basis)
 
-    def compute(seed: int, streams: np.ndarray):
-        return [distance(sample_matrix(ensemble, n, SeedSpec(seed, int(s)))) for s in streams]
-
-    values, singular = map_trials(compute, trials, master_seed, workers)
+    values, singular = map_trials(lambda stack: [distance(m) for m in stack],
+                                  ensemble, n, trials, master_seed, workers)
     samples = np.array(values)
     tail = tuple((u, float(np.count_nonzero(samples > u)) / trials) for u in DIST_THRESHOLDS)
     return DistanceTailReport(ensemble=ensemble.kind, n=n, trials=trials,

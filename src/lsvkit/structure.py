@@ -36,9 +36,9 @@ UNIT_NORM_TOL = 1e-10
 LCD_GRID_BUDGET = 10_000_000
 LCD_SAMPLE_BUDGET = 10_000
 
-# Entries (grid points x n, or trials x n) per block of the LCD scan and of
-# the small-ball draws: small enough to stay in cache, large enough to
-# amortize the per-block numpy calls.  No result depends on it.
+# Entries per LCD scan block (grid points x n) and uniforms per small-ball
+# block (trials x n x draws per entry): small enough to stay in cache, large
+# enough to amortize the per-block numpy calls.  No result depends on it.
 BLOCK_ENTRIES = 1 << 16
 
 
@@ -263,8 +263,8 @@ def small_ball_estimate(weights, ensemble: Ensemble, epsilon: float, trials: int
     """Monte Carlo P(|sum_i w_i xi_i| <= epsilon) for unit-norm weights.
 
     Entry (t, i) of the sample block sits at counter t*n + i of the
-    stream, so drawing max(1, BLOCK_ENTRIES // n) trials at a time
-    reproduces the same draws exactly in bounded memory.
+    stream, so max(1, BLOCK_ENTRIES // (n * draws_per_entry)) trials per
+    block reproduce the same draws exactly in bounded memory.
     """
     w = as_vector(weights)
     if abs(float(np.linalg.norm(w)) - 1.0) > UNIT_NORM_TOL:
@@ -274,7 +274,7 @@ def small_ball_estimate(weights, ensemble: Ensemble, epsilon: float, trials: int
     if trials < 1:
         raise InvalidQuery(f"trials must be >= 1, got {trials}")
     n = w.shape[0]
-    chunk = max(1, BLOCK_ENTRIES // n)
+    chunk = max(1, BLOCK_ENTRIES // (n * ensemble.draws_per_entry))
     hits = 0
     for t0 in range(0, trials, chunk):
         m = min(chunk, trials - t0)

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from lsvkit.ensembles import SeedSpec, sample_matrix
+
 
 def det_cofactor(a: np.ndarray) -> float:
     """Determinant by recursive first-row cofactor expansion (n <= 8)."""
@@ -111,3 +113,16 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
     upper = np.max(np.arange(1, n + 1) / n - theo)
     lower = np.max(theo - np.arange(0, n) / n)
     return float(max(upper, lower))
+
+
+def first_accepted_draw(ensemble, n: int, master_seed: int, t: int, value):
+    """(value(m), rejected rounds) of trial t, drawing one matrix per stream.
+
+    Round r draws stream r * 2**32 + t until value(m) is not None: the
+    resample layout of the trial engine, without its blocks or workers.
+    """
+    for r in range(64):
+        v = value(sample_matrix(ensemble, n, SeedSpec(master_seed, r * 2**32 + t)))
+        if v is not None:
+            return v, r
+    raise AssertionError(f"trial {t} never drew an accepted matrix")

@@ -15,10 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsvkit import cli
+from oracles import first_accepted_draw
+
+from lsvkit import cli, harness
 from lsvkit.ensembles import RADEMACHER, SeedSpec
+from lsvkit.errors import SingularMatrix
 from lsvkit.harness import MAX_WORKERS
 from lsvkit.structure import LCD_SAMPLE_BUDGET, small_ball_estimate
+from lsvkit.witness import audit
 
 
 def run_cli(*args):
@@ -114,6 +118,32 @@ def test_witness_run_with_column_flag(tmp_path):
     manifest = json.loads((tmp_path / "witness.json.manifest.json").read_text())
     assert manifest["violations_total"] == 0
     assert manifest["singular_resamples"] == 0
+
+
+def _audit_or_reject(m):
+    try:
+        return audit(m, 0).to_json_dict()
+    except SingularMatrix:
+        return None
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_witness_matches_per_trial_recomputation(tmp_path, monkeypatch, workers):
+    # rademacher n=3 is singular about 5 draws in 8; blocks of 1, 5 and 1820 matrices
+    draws = [first_accepted_draw(RADEMACHER, 3, 6, t, _audit_or_reject) for t in range(40)]
+    expected = tmp_path / "per-stream.json"
+    cli._write_data_json(expected, [rep for rep, _ in draws])
+    resamples = sum(r for _, r in draws)
+    assert resamples > 0
+    for entries in (9, 45, harness.BLOCK_ENTRIES):
+        monkeypatch.setattr(harness, "BLOCK_ENTRIES", entries)
+        out = tmp_path / f"witness-{entries}.json"
+        code = cli.main(["witness", "--ensemble", "rademacher", "--n", "3", "--trials", "40",
+                         "--seed", "6", "--workers", str(workers), "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == expected.read_bytes(), entries
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["singular_resamples"] == resamples, entries
 
 
 # ---- lcd -------------------------------------------------------------------

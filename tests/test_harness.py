@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy
 
-from oracles import half_normal_cdf, ks_statistic
+from oracles import first_accepted_draw, half_normal_cdf, ks_statistic
 
 from lsvkit import harness
 from lsvkit.ensembles import GAUSSIAN, RADEMACHER, SeedSpec, sample_matrix
@@ -32,7 +32,8 @@ from lsvkit.harness import (
     scaled_sn_samples,
     write_tail_csv,
 )
-from lsvkit.linalg import smallest_singular_value
+from lsvkit.errors import NumericallyDependent
+from lsvkit.linalg import dist_to_subspace, orthonormalize, smallest_singular_value
 from lsvkit.witness import audit
 
 
@@ -45,13 +46,9 @@ def test_worker_count_never_changes_values():
     assert sing_one == sing_three
 
 
-def _first_nonsingular_draw(ensemble, n, seed, t):
-    # (s_n, rejected rounds) from the resample stream layout, one matrix at a time
-    for r in range(64):
-        s = smallest_singular_value(sample_matrix(ensemble, n, SeedSpec(seed, r * 2**32 + t)))
-        if s > 0.0:
-            return s, r
-    raise AssertionError(f"trial {t} never drew a nonsingular matrix")
+def _nonsingular_sn(m):
+    s = smallest_singular_value(m)
+    return s if s > 0.0 else None
 
 
 def test_samples_match_per_trial_recomputation():
@@ -60,7 +57,8 @@ def test_samples_match_per_trial_recomputation():
                                                (RADEMACHER, 16, 300, 3, 1),
                                                (RADEMACHER, 16, 300, 3, 3)):
         values, singular = scaled_sn_samples(ensemble, n, trials, seed, workers)
-        draws = [_first_nonsingular_draw(ensemble, n, seed, t) for t in range(trials)]
+        draws = [first_accepted_draw(ensemble, n, seed, t, _nonsingular_sn)
+                 for t in range(trials)]
         assert values.tolist() == [s * np.sqrt(n) for s, _ in draws]
         assert singular == sum(r for _, r in draws)
         assert (singular > 0) == (ensemble is RADEMACHER)
@@ -83,38 +81,49 @@ def test_sample_validation():
 
 # ---- map_trials -------------------------------------------------------------
 
-def _reject_even_first_draws(master_seed, streams):
-    # value = the accepting stream; round 0 of every even trial is rejected
-    return [None if s < RESAMPLE_STRIDE and s % 2 == 0 else int(s) for s in streams]
+def _reject_negative_corner(stack):
+    # value = the accepted matrix; a draw whose (0, 0) sign is -1 is rejected
+    return [None if m[0, 0] < 0 else m.tobytes() for m in stack]
 
 
-def test_map_trials_order_and_resample_accounting():
-    expected = [RESAMPLE_STRIDE + t if t % 2 == 0 else t for t in range(37)]
+def _matrix_bytes(stack):
+    return [m.tobytes() for m in stack]
+
+
+def _per_stream(score_one, trials, seed, ensemble=RADEMACHER, n=2):
+    # values and rejected draws of trials 0..trials-1, one matrix per stream
+    draws = [first_accepted_draw(ensemble, n, seed, t, score_one) for t in range(trials)]
+    return [v for v, _ in draws], sum(r for _, r in draws)
+
+
+def test_map_trials_order_and_resample_accounting(monkeypatch):
+    expected, rejected = _per_stream(lambda m: _reject_negative_corner([m])[0], 37, 5)
+    assert rejected > 0
     for workers in (1, 3, 7):
-        for block in (1, 4, 37):
-            values, rejected = map_trials(_reject_even_first_draws, 37, 5, workers, block)
-            assert values == expected
-            assert rejected == 19  # even trials in range(37)
+        for entries in (4, 16, 148):  # blocks of 1, 4 and 37 2x2 matrices
+            monkeypatch.setattr(harness, "BLOCK_ENTRIES", entries)
+            got = map_trials(_reject_negative_corner, RADEMACHER, 2, 37, 5, workers)
+            assert got == (expected, rejected), (workers, entries)
 
 
 def test_map_trials_bounds():
     calls = []
 
-    def compute(master_seed, streams):
-        calls.append(streams)
-        return [0.0] * len(streams)
+    def score(stack):
+        calls.append(stack)
+        return [0.0] * len(stack)
 
+    with pytest.raises(InvalidDimension, match="n must be >= 2, got 1"):
+        map_trials(score, GAUSSIAN, 1, 10, 0)
     with pytest.raises(ValueError):
-        map_trials(compute, 0, 0)
+        map_trials(score, GAUSSIAN, 2, 0, 0)
     with pytest.raises(ValueError):
-        map_trials(compute, RESAMPLE_STRIDE + 1, 0)
+        map_trials(score, GAUSSIAN, 2, RESAMPLE_STRIDE + 1, 0)
     with pytest.raises(ValueError):
-        map_trials(compute, 10, 0, workers=MAX_WORKERS + 1)
-    with pytest.raises(ValueError):
-        map_trials(compute, 10, 0, block=0)
+        map_trials(score, GAUSSIAN, 2, 10, 0, workers=MAX_WORKERS + 1)
     assert calls == []  # every bound is checked before any trial runs
     with pytest.raises(RuntimeError):
-        map_trials(lambda master_seed, streams: [None] * len(streams), 3, 0, block=2)
+        map_trials(lambda stack: [None] * len(stack), GAUSSIAN, 2, 3, 0)
 
 
 def _blas_thread_counts():
@@ -134,7 +143,7 @@ def _blas_thread_counts():
     return counts
 
 
-class _ComputeFailed(Exception):
+class _ScoreFailed(Exception):
     pass
 
 
@@ -145,41 +154,42 @@ def test_map_trials_pins_one_blas_thread_and_restores(workers):
     assert set(before) == set(PINNED_BLAS)
     seen = []
 
-    def compute(master_seed, streams):
+    def score(stack):
         seen.append(_blas_thread_counts())
-        return [int(s) for s in streams]
+        return _matrix_bytes(stack)
 
-    values, _ = map_trials(compute, 12, 0, workers)
-    assert values == list(range(12))
+    values, _ = map_trials(score, RADEMACHER, 2, 12, 0, workers)
+    assert values == _per_stream(np.ndarray.tobytes, 12, 0)[0]
     assert seen and all(counts == dict.fromkeys(PINNED_BLAS, 1) for counts in seen)
     assert _blas_thread_counts() == before
 
-    def failing(master_seed, streams):
-        raise _ComputeFailed
+    def failing(stack):
+        raise _ScoreFailed
 
-    with pytest.raises(_ComputeFailed):
-        map_trials(failing, 12, 0, workers)
+    with pytest.raises(_ScoreFailed):
+        map_trials(failing, RADEMACHER, 2, 12, 0, workers)
     assert _blas_thread_counts() == before
 
 
 @pytest.mark.skipif(not PINNED_BLAS, reason="no bundled OpenBLAS to pin")
-def test_blas_pin_holds_under_thread_switching():
+def test_blas_pin_holds_under_thread_switching(monkeypatch):
     # more workers than cores, switching constantly: a lost update to the
     # pin's shared depth would unpin a running chunk or leave the pin behind
+    monkeypatch.setattr(harness, "BLOCK_ENTRIES", 4)  # one 2x2 matrix per block
     before = _blas_thread_counts()
     seen = []
 
-    def compute(master_seed, streams):
+    def score(stack):
         seen.append(_blas_thread_counts())
-        return [int(s) for s in streams]
+        return _matrix_bytes(stack)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        values, _ = map_trials(compute, 256, 0, workers=8)
+        values, _ = map_trials(score, RADEMACHER, 2, 256, 0, workers=8)
     finally:
         sys.setswitchinterval(interval)
-    assert values == list(range(256))
+    assert values == _per_stream(np.ndarray.tobytes, 256, 0)[0]
     assert len(seen) == 256 and all(counts == dict.fromkeys(PINNED_BLAS, 1) for counts in seen)
     assert _blas_thread_counts() == before
 
@@ -191,11 +201,12 @@ def test_map_trials_without_blas_libraries(monkeypatch, workers):
     before = _blas_thread_counts()
     seen = []
 
-    def compute(master_seed, streams):
+    def score(stack):
         seen.append(_blas_thread_counts())
-        return [int(s) for s in streams]
+        return _matrix_bytes(stack)
 
-    assert map_trials(compute, 12, 0, workers)[0] == list(range(12))
+    values, _ = map_trials(score, RADEMACHER, 2, 12, 0, workers)
+    assert values == _per_stream(np.ndarray.tobytes, 12, 0)[0]
     assert seen and all(counts == before for counts in seen)  # nothing pinned
     unpinned = scaled_sn_samples(GAUSSIAN, 20, 30, 41, workers)
     assert pinned[0].tobytes() == unpinned[0].tobytes() and pinned[1] == unpinned[1]
@@ -345,6 +356,24 @@ def test_distance_tail_validation():
         distance_tail_experiment(GAUSSIAN, 1, 10, 0)
     with pytest.raises(ValueError):
         distance_tail_experiment(GAUSSIAN, 4, 0, 0)
+
+
+def _column_distance(m):
+    try:
+        return dist_to_subspace(m[:, 0], orthonormalize(m[:, 1:]))
+    except NumericallyDependent:
+        return None
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_distance_tail_matches_per_trial_recomputation(monkeypatch, workers):
+    # rademacher n=3 rejects about 3 draws in 10; blocks of 1, 5 and 1820 matrices
+    expected, rejected = _per_stream(_column_distance, 200, 4, n=3)
+    assert rejected > 0
+    for entries in (9, 45, harness.BLOCK_ENTRIES):
+        monkeypatch.setattr(harness, "BLOCK_ENTRIES", entries)
+        rep = distance_tail_experiment(RADEMACHER, 3, 200, 4, workers)
+        assert rep.samples.tolist() == expected and rep.singular_count == rejected, entries
 
 
 def test_distance_tail_worker_invariance():

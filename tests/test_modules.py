@@ -1,6 +1,7 @@
 """Module boundaries: modules share only public names."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import lsvkit
@@ -65,3 +66,49 @@ def test_only_harness_sets_blas_threads():
              for path in sorted(Path(lsvkit.__file__).parent.glob("*.py"))}
     assert found.pop("harness.py")
     assert {name: refs for name, refs in found.items() if refs} == {}
+
+
+def _sampler_calls(tree):
+    """(top-level definition, callee) of every call to a matrix sampler."""
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("sample_matrix", "sample_matrices"):
+                yield owner, name
+
+
+def test_only_map_trials_samples_matrices():
+    # one sampling path: every trial loop gets its matrices from map_trials
+    found = {path.name: sorted(set(_sampler_calls(ast.parse(path.read_text(encoding="utf-8")))))
+             for path in sorted(Path(lsvkit.__file__).parent.glob("*.py"))
+             if path.name != "ensembles.py"}
+    assert {name: calls for name, calls in found.items() if calls} == {
+        "harness.py": [("map_trials", "sample_matrices")]}
+
+
+def _dotted(node) -> list[str]:
+    if isinstance(node, ast.Name):
+        return [node.id]
+    assert isinstance(node, ast.Attribute), ast.dump(node)
+    return _dotted(node.value) + [node.attr]
+
+
+def test_bench_patch_targets_exist():
+    # bench/layers.py rebinds owner.__dict__[name]; a name the owner lost
+    # would fail only at `bench/run.py --trace 1`
+    layers = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+    targets = []
+    for node in ast.walk(ast.parse(layers.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "patch" and _dotted(node.func.value) == ["rec"]):
+            module, *attrs = _dotted(node.args[0])
+            owner = importlib.import_module(f"lsvkit.{module}")
+            for attr in attrs:
+                owner = getattr(owner, attr)
+            targets.append((owner, node.args[1].value))
+    assert targets
+    assert [(owner.__name__, name) for owner, name in targets if name not in vars(owner)] == []

@@ -419,18 +419,23 @@ def test_small_ball_block_size_makes_no_difference(monkeypatch, kind):
         # +-w with n = 1 never comes within 0.4 of 0 under rademacher signs
         assert 0 < default.hits < 1000 or (kind, n) == ("rademacher", 1)
         for rows in _BLOCK_ROWS:
-            monkeypatch.setattr(structure, "BLOCK_ENTRIES", rows * n)
+            monkeypatch.setattr(structure, "BLOCK_ENTRIES", rows * n * ens.draws_per_entry)
             got = small_ball_estimate(w, ens, 0.4, 1000, SeedSpec(16, 1))
             assert got == default, (n, rows)
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("trials", [150_000, 1_500_000])
-def test_small_ball_memory_is_bounded(trials):
+@pytest.mark.parametrize("kind,trials", [
+    pytest.param("gaussian", 150_000, id="150000"),
+    pytest.param("gaussian", 1_500_000, id="1500000"),
+    pytest.param("student_t5", 150_000, id="student_t5-150000"),
+])
+def test_small_ball_memory_is_bounded(kind, trials):
+    # blocks count uniforms, so student_t5's six per entry stay in bounds too
     w = np.ones(20) / np.sqrt(20.0)
     tracemalloc.start()
     try:
-        est = small_ball_estimate(w, GAUSSIAN, 0.1, trials, SeedSpec(17, 0))
+        est = small_ball_estimate(w, ENSEMBLES[kind], 0.1, trials, SeedSpec(17, 0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
