@@ -283,7 +283,7 @@ def _run_lcd(params: dict, created: list) -> tuple[int, dict]:
     out = Path(params["out"])
     created.append(out)
     _write_data_json(out, doc)
-    return 0, {}
+    return 0, {"grid_points_evaluated": res.grid_points_evaluated}
 
 
 def _run_smallball(params: dict, created: list) -> tuple[int, dict]:

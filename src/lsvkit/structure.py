@@ -8,9 +8,13 @@ gamma in (0, 1) is
 lcd_vector resolves the infimum numerically: a grid scan over
 (0, theta_max] followed by bisection, so the returned theta_star carries
 a documented slack (final bracket width) and admissible windows narrower
-than 4 grid steps can in principle be missed.  "Unbounded" results mean
-no admissible theta was found up to theta_max, i.e. lcd(a) > theta_max
-as far as the grid can tell.
+than 4 grid steps can in principle be missed.  The scan evaluates a
+coarse subgrid first and skips every run of grid points that the
+Lipschitz bound of theta -> dist(theta a, Z^n) proves inadmissible; the
+skipped points could not have been the first admissible one, so the
+answer is the full scan's.  "Unbounded" results mean no admissible theta
+was found up to theta_max, i.e. lcd(a) > theta_max as far as the grid
+can tell.
 
 small_ball_estimate measures the Levy concentration function
 P(|sum_i w_i xi_i| <= epsilon) by seeded Monte Carlo with a Wilson 95%
@@ -80,13 +84,14 @@ class LcdQuery:
     grid_step: float | None = None
 
     def __post_init__(self):
+        # written so that NaN fails every test; an infinite alpha means no cap
         if not (0.0 < self.gamma < 1.0):
             raise InvalidQuery(f"gamma must lie in (0,1), got {self.gamma}")
-        if self.alpha <= 0.0:
+        if not self.alpha > 0.0:
             raise InvalidQuery(f"alpha must be positive, got {self.alpha}")
-        if self.theta_max <= 0.0:
+        if not self.theta_max > 0.0:
             raise InvalidQuery(f"theta_max must be positive, got {self.theta_max}")
-        if self.grid_step is not None and self.grid_step <= 0.0:
+        if self.grid_step is not None and not self.grid_step > 0.0:
             raise InvalidQuery(f"grid_step must be positive, got {self.grid_step}")
 
     def resolved_step(self, a_norm: float) -> float:
@@ -102,7 +107,11 @@ class LcdQuery:
 
 @dataclass(frozen=True)
 class LcdResult:
-    """theta_star None means no admissible theta <= theta_max (lcd > theta_max)."""
+    """theta_star None means no admissible theta <= theta_max (lcd > theta_max).
+
+    grid_points_evaluated counts the grid points whose lattice distance
+    the scan computed (summed over directions for a sampled subspace).
+    """
 
     theta_star: float | None
     achieved_dist: float | None
@@ -110,6 +119,7 @@ class LcdResult:
     slack: float
     n_samples: int | None = None
     direction: np.ndarray | None = None
+    grid_points_evaluated: int = 0
 
     @property
     def unbounded(self) -> bool:
@@ -120,12 +130,15 @@ class _LcdBuffers:
     """Work arrays of one lcd_vector call, reused by every admissibility test."""
 
     def __init__(self, rows: int, n: int):
+        self.offsets = np.arange(rows, dtype=np.float64)
         self.thetas = np.empty(rows)
         self.points = np.empty((rows, n))
         self.rounded = np.empty((rows, n))
         self.dists = np.empty(rows)
         self.limits = np.empty(rows)
         self.ok = np.empty(rows, dtype=bool)
+        self.lower = np.empty(rows)
+        self.ruled_out = np.empty(rows, dtype=bool)
 
 
 def _first_admissible(thetas: np.ndarray, a: np.ndarray, a_norm: float, q: LcdQuery,
@@ -155,16 +168,119 @@ def _first_admissible(thetas: np.ndarray, a: np.ndarray, a_norm: float, q: LcdQu
     return i if ok[i] else None
 
 
+def _grid_thetas(buf: _LcdBuffers, start: int, count: int, stride: int, n_pts: int,
+                 step: float) -> np.ndarray:
+    """buf.thetas[:count] set to k*step for k = min((start + i)*stride, n_pts).
+
+    Integers below 2**53 are exact in float64, so every theta is k*step
+    rounded once, whichever pass or block computes it.
+    """
+    thetas = buf.thetas[:count]
+    np.add(buf.offsets[:count], start, out=thetas)
+    thetas *= stride
+    np.minimum(thetas, n_pts, out=thetas)
+    thetas *= step
+    return thetas
+
+
+def _open_runs(coarse: np.ndarray, a: np.ndarray, a_norm: float, q: LcdQuery,
+               buf: _LcdBuffers, prev_theta: float, prev_dist: float,
+               margin: float) -> list[list[int]]:
+    """Runs [j0, j1) of the intervals (coarse[j-1], coarse[j]] not ruled out.
+
+    coarse[-1] stands for prev_theta, whose computed distance is
+    prev_dist.  Since theta -> dist(theta a, Z^n) is ||a||-Lipschitz,
+    every theta in interval j lies at distance at least
+    (d[j-1] + d[j] - (coarse[j] - coarse[j-1])*||a||) / 2, and every
+    limit there is at most limits[j], so the interval is ruled out when
+    the first exceeds the second plus margin.  Leaves the coarse points'
+    distances in buf.dists.
+    """
+    m = coarse.shape[0]
+    _first_admissible(coarse, a, a_norm, q, buf)
+    dists, lower, ruled_out = buf.dists[:m], buf.lower[:m], buf.ruled_out[:m]
+    np.subtract(coarse[1:], coarse[:-1], out=lower[1:])
+    lower[0] = coarse[0] - prev_theta
+    lower *= a_norm
+    np.subtract(dists, lower, out=lower)
+    lower[1:] += dists[:-1]
+    lower[0] += prev_dist
+    lower *= 0.5
+    limits = buf.limits[:m]
+    limits += margin
+    np.greater(lower, limits, out=ruled_out)
+    # ruled-out flags change state where an open run starts and where it ends
+    edges = np.flatnonzero(np.diff(ruled_out, prepend=True, append=True))
+    return edges.reshape(-1, 2).tolist()
+
+
+def _scan_grid(a: np.ndarray, a_norm: float, q: LcdQuery, step: float, n_pts: int,
+               buf: _LcdBuffers) -> tuple[float | None, int]:
+    """The first admissible grid point k*step, k in [1, n_pts], and the grid points evaluated.
+
+    A coarse pass evaluates every stride-th grid point (and the last);
+    the fine pass then scans, in grid order and a block of buf's rows at
+    a time, only the intervals between coarse points that _open_runs
+    cannot rule out.  The stride makes an interval as long, in
+    theta*||a||, as the largest limit min(alpha, gamma*theta_max*||a||),
+    clipped to [1, n_pts].  The first coarse block spans only one fine
+    block's grid points, so an early hit costs little more than the
+    full scan's first block; later coarse blocks hold buf's rows.
+
+    The margin 16*n*eps*(theta_max*||a|| + sqrt(n)) covers the float
+    error of the rule.  With u = eps/2 and T = theta*||a|| (at most
+    theta_max*||a||, below 2.5e6 for any scan within LCD_GRID_BUDGET), a
+    computed distance is within 3*u*T + (n+6)*u*sqrt(n)/4 of the exact
+    distance at the same theta (the product theta*a, the choice of the
+    nearest integer, the sum of n squares, the square root).  Adding the
+    errors of both interval ends, of ||a|| and the interval width, of the
+    bound's two additions and of limit + margin, a computed bound exceeds
+    the computed distance of a grid point in its interval by at most
+    (n + 10)*u*(T + sqrt(n)), 11/32 of the margin or less for every n, so
+    a ruled-out interval holds no computed distance below its end's
+    computed limit.  No grid point's computed limit exceeds its interval
+    end's, since rounding is monotone and both come from the same
+    operations.
+    """
+    n = a.shape[0]
+    rows = buf.thetas.shape[0]
+    stride = max(1, min(int(min(q.alpha, q.gamma * q.theta_max * a_norm) / (step * a_norm)),
+                        n_pts))
+    margin = 16 * n * np.finfo(np.float64).eps * (q.theta_max * a_norm + np.sqrt(n))
+    n_coarse = -(-n_pts // stride)
+    evaluated = 0
+    prev_theta = prev_dist = 0.0  # theta = 0 sits on the lattice
+    c0, span = 1, -(-rows // stride)
+    while c0 <= n_coarse:
+        coarse = _grid_thetas(buf, c0, min(span, n_coarse + 1 - c0), stride, n_pts, step)
+        runs = _open_runs(coarse, a, a_norm, q, buf, prev_theta, prev_dist, margin)
+        m = coarse.shape[0]
+        evaluated += m
+        prev_theta, prev_dist = float(coarse[m - 1]), float(buf.dists[m - 1])
+        for j0, j1 in runs:  # coarse intervals c0+j0 .. c0+j1-1, grid points lo..hi
+            lo = min((c0 + j0 - 1) * stride, n_pts) + 1
+            hi = min((c0 + j1 - 1) * stride, n_pts)
+            for k0 in range(lo, hi + 1, rows):
+                thetas = _grid_thetas(buf, k0, min(rows, hi + 1 - k0), 1, n_pts, step)
+                evaluated += thetas.shape[0]
+                i = _first_admissible(thetas, a, a_norm, q, buf)
+                if i is not None:
+                    return float(thetas[i]), evaluated
+        c0, span = c0 + m, rows
+    return None, evaluated
+
+
 def lcd_vector(a, q: LcdQuery) -> LcdResult:
     """Smallest admissible theta in (0, theta_max], to grid + bisection accuracy.
 
-    Scans the grid k*step in order, max(1, BLOCK_ENTRIES // n) points at
-    a time through buffers allocated once per call (the reduction is a
-    minimum, so partitioning cannot change the answer), then bisects
-    between the first admissible grid point and its non-admissible
-    predecessor down to BISECTION_TOL.  A grid longer than
-    LCD_GRID_BUDGET points is rejected with InvalidQuery instead of
-    scanned.
+    Scans the grid k*step in order (_scan_grid: a coarse pass, then only
+    the intervals it cannot rule out), max(1, BLOCK_ENTRIES // n) points
+    at a time through buffers allocated once per call (the reduction is
+    a minimum, so neither partitioning nor skipping ruled-out points can
+    change the answer), then bisects between the first admissible grid
+    point and its non-admissible predecessor down to BISECTION_TOL.  A
+    grid longer than LCD_GRID_BUDGET points is rejected with
+    InvalidQuery instead of scanned.
     """
     vec = as_vector(a)
     with np.errstate(over="ignore"):  # an overflowing norm is rejected just below
@@ -177,27 +293,17 @@ def lcd_vector(a, q: LcdQuery) -> LcdResult:
             f"theta_max/step = {q.theta_max / step:.3e} grid points exceeds budget {LCD_GRID_BUDGET}")
 
     n_pts = int(np.floor(q.theta_max / step))
-    chunk = max(1, min(BLOCK_ENTRIES // vec.shape[0], n_pts))
-    buf = _LcdBuffers(chunk, vec.shape[0])
-    offsets = np.arange(chunk, dtype=np.float64)
+    buf = _LcdBuffers(max(1, min(BLOCK_ENTRIES // vec.shape[0], n_pts)), vec.shape[0])
 
     def admissible(theta: float) -> bool:
         return _first_admissible(np.array([theta]), vec, a_norm, q, buf) is not None
 
-    hit = None
-    for lo_idx in range(1, n_pts + 1, chunk):
-        thetas = buf.thetas[:min(chunk, n_pts + 1 - lo_idx)]
-        # arange(lo_idx, ...) * step exactly, since integers below 2**53 are exact
-        np.add(offsets[:thetas.shape[0]], lo_idx, out=thetas)
-        thetas *= step
-        i = _first_admissible(thetas, vec, a_norm, q, buf)
-        if i is not None:
-            hit = float(thetas[i])
-            break
+    hit, evaluated = _scan_grid(vec, a_norm, q, step, n_pts, buf)
     if hit is None and n_pts * step < q.theta_max and admissible(q.theta_max):
         hit = float(q.theta_max)  # the ragged end of the interval
     if hit is None:
-        return LcdResult(theta_star=None, achieved_dist=None, certificate=None, slack=0.0)
+        return LcdResult(theta_star=None, achieved_dist=None, certificate=None, slack=0.0,
+                         grid_points_evaluated=evaluated)
 
     lo = max(hit - step, 0.0)  # theta -> 0 is never admissible since gamma < 1
     hi = hit
@@ -208,7 +314,8 @@ def lcd_vector(a, q: LcdQuery) -> LcdResult:
         else:
             lo = mid
     d, cert = dist_to_lattice(hi * vec)
-    return LcdResult(theta_star=hi, achieved_dist=d, certificate=cert, slack=hi - lo)
+    return LcdResult(theta_star=hi, achieved_dist=d, certificate=cert, slack=hi - lo,
+                     grid_points_evaluated=evaluated)
 
 
 def lcd_subspace_sampled(basis: OrthonormalBasis, q: LcdQuery, samples: int,
@@ -233,8 +340,10 @@ def lcd_subspace_sampled(basis: OrthonormalBasis, q: LcdQuery, samples: int,
 
     best: LcdResult | None = None
     best_dir = None
+    evaluated = 0
     for i in range(samples):
         res = lcd_vector(dirs[i], q)
+        evaluated += res.grid_points_evaluated
         if res.unbounded:
             continue
         if best is None or res.theta_star < best.theta_star:
@@ -242,10 +351,10 @@ def lcd_subspace_sampled(basis: OrthonormalBasis, q: LcdQuery, samples: int,
             best_dir = dirs[i].copy()
     if best is None:
         return LcdResult(theta_star=None, achieved_dist=None, certificate=None,
-                         slack=0.0, n_samples=samples)
+                         slack=0.0, n_samples=samples, grid_points_evaluated=evaluated)
     return LcdResult(theta_star=best.theta_star, achieved_dist=best.achieved_dist,
                      certificate=best.certificate, slack=best.slack,
-                     n_samples=samples, direction=best_dir)
+                     n_samples=samples, direction=best_dir, grid_points_evaluated=evaluated)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,17 @@ from hypothesis import strategies as st
 from oracles import first_accepted_draw
 
 from lsvkit import cli, harness
-from lsvkit.ensembles import RADEMACHER, SeedSpec
+from lsvkit.ensembles import GAUSSIAN, RADEMACHER, SeedSpec, sample_array
 from lsvkit.errors import SingularMatrix
 from lsvkit.harness import MAX_WORKERS
-from lsvkit.structure import LCD_SAMPLE_BUDGET, small_ball_estimate
+from lsvkit.linalg import orthonormalize
+from lsvkit.structure import (
+    LCD_SAMPLE_BUDGET,
+    LcdQuery,
+    lcd_subspace_sampled,
+    lcd_vector,
+    small_ball_estimate,
+)
 from lsvkit.witness import audit
 
 
@@ -175,6 +182,25 @@ def test_lcd_subspace_mode_json(tmp_path):
     if not doc["unbounded"]:
         assert len(doc["direction"]) == 4
         assert doc["theta_star"] > 0
+
+
+def test_lcd_manifest_counts_grid_points_evaluated(tmp_path):
+    # vector mode records its scan's count, subspace mode the sum over its directions
+    out = tmp_path / "vec.json"
+    assert cli.main(["lcd", "--vector", "1,0", "--alpha", "10", "--gamma", "0.5",
+                     "--theta-max", "100", "--out", str(out)]) == 0
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    res = lcd_vector(np.array([1.0, 0.0]), LcdQuery(alpha=10.0, gamma=0.5, theta_max=100.0))
+    assert manifest["grid_points_evaluated"] == res.grid_points_evaluated > 0
+
+    out = tmp_path / "sub.json"
+    assert cli.main(["lcd", "--subspace-dim", "2", "--n", "4", "--samples", "3", "--seed", "9",
+                     "--theta-max", "50", "--out", str(out)]) == 0
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    basis = orthonormalize(sample_array(GAUSSIAN, (4, 2), SeedSpec(9, 0)))
+    res = lcd_subspace_sampled(basis, LcdQuery(alpha=1.0, gamma=0.5, theta_max=50.0), 3,
+                               SeedSpec(9, 1))
+    assert manifest["grid_points_evaluated"] == res.grid_points_evaluated > 0
 
 
 # ---- smallball -------------------------------------------------------------

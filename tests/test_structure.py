@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -83,10 +83,23 @@ def test_lattice_periodicity_exact(numerators, shift):
     dict(alpha=-3.0, gamma=0.5),
     dict(alpha=1.0, gamma=0.5, theta_max=0.0),
     dict(alpha=1.0, gamma=0.5, grid_step=-1e-3),
+    dict(alpha=np.nan, gamma=0.5),
+    dict(alpha=1.0, gamma=np.nan),
+    dict(alpha=1.0, gamma=0.5, theta_max=np.nan),
+    dict(alpha=1.0, gamma=0.5, grid_step=np.nan),
 ])
 def test_lcd_query_rejects_bad_parameters(kwargs):
     with pytest.raises(InvalidQuery):
         LcdQuery(**kwargs)
+
+
+def test_lcd_query_accepts_infinite_alpha():
+    # alpha = inf drops the cap: theta e1 is admissible past 2/3 as with alpha = 10
+    q = LcdQuery(alpha=np.inf, gamma=0.5, theta_max=100.0)
+    res = lcd_vector(np.array([1.0, 0.0]), q)
+    assert res.theta_star == pytest.approx(2.0 / 3.0, abs=1e-6)
+    assert _lcd_bytes(res) == _lcd_bytes(lcd_vector(np.array([1.0, 0.0]),
+                                                    LcdQuery(alpha=10.0, gamma=0.5, theta_max=100.0)))
 
 
 def test_lcd_rejects_too_coarse_grid():
@@ -287,6 +300,95 @@ def test_lcd_vector_matches_whole_array_reference_bitwise(n):
     assert hits >= 8
 
 
+@st.composite
+def _lcd_queries(draw):
+    """A direction and a query with at most about 3,000 grid points."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    kind = draw(st.sampled_from(["gaussian", "integer", "rational"]))
+    if kind == "gaussian":
+        a = sample_array(GAUSSIAN, (n,), SeedSpec(draw(st.integers(0, 2**32 - 1)), 11))
+    else:
+        # integer directions meet the lattice at theta = 1, rational ones at their
+        # denominator, so hits come early, late and after long ruled-out runs
+        ints = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n).filter(any))
+        a = np.array(ints, dtype=np.float64)
+        if kind == "rational":
+            a /= draw(st.integers(min_value=2, max_value=97))
+    if draw(st.booleans()):
+        a /= np.linalg.norm(a)
+    a_norm = float(np.linalg.norm(a))
+    gamma = draw(st.floats(min_value=0.01, max_value=0.9))
+    # sqrt(n/12) is the typical lattice distance; alpha = inf means no cap
+    alpha = draw(st.one_of(st.just(np.inf), st.floats(min_value=0.05, max_value=1.5)
+                           .map(lambda f: f * np.sqrt(n / 12.0))))
+    grid_step = draw(st.one_of(st.none(), st.floats(min_value=0.05, max_value=0.99)
+                               .map(lambda f: f * gamma / (4.0 * a_norm))))
+    step = LcdQuery(alpha=alpha, gamma=gamma, grid_step=grid_step).resolved_step(a_norm)
+    # a fractional number of steps leaves a ragged end
+    theta_max = draw(st.floats(min_value=0.5, max_value=3000.0)) * step
+    return a, LcdQuery(alpha=alpha, gamma=gamma, theta_max=theta_max, grid_step=grid_step)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lcd_queries())
+# only the ragged end 0.67 is admissible (the grid stops at 0.65)
+@example((_E1, LcdQuery(alpha=10.0, gamma=0.5, theta_max=0.67)))
+# first admissible grid point 144, a coarse point (stride 6), after 22 ruled-out intervals
+@example((np.array([1.0, 2.0, 3.0]) / 11.0, LcdQuery(alpha=0.15, gamma=0.3, theta_max=22.0)))
+def test_lcd_vector_matches_reference_on_random_queries(case):
+    a, q = case
+    ref = _reference_lcd_vector(a, q)
+    for rows in (None,) + _BLOCK_ROWS:
+        with pytest.MonkeyPatch.context() as mp:
+            if rows is not None:
+                mp.setattr(structure, "BLOCK_ENTRIES", rows * a.shape[0])
+            res = lcd_vector(a, q)
+        if ref is None:
+            assert res.unbounded, rows
+        else:
+            assert (res.theta_star, res.achieved_dist, res.slack) == ref[:3], rows
+            assert res.certificate.tobytes() == ref[3].tobytes(), rows
+
+
+def test_lcd_scan_skips_ruled_out_grid_points(monkeypatch):
+    # the structure workload's query on a unit n = 20 direction: 80,000 grid
+    # points, none admissible, and the coarse pass rules out nearly all of them
+    a = sample_array(GAUSSIAN, (20,), SeedSpec(0, 1))
+    a /= np.linalg.norm(a)
+    q = LcdQuery(alpha=0.5, gamma=0.05, theta_max=1000.0)
+    n_pts = int(np.floor(q.theta_max / q.resolved_step(float(np.linalg.norm(a)))))
+    assert n_pts == 80_000
+    evaluated = []
+    first_admissible = structure._first_admissible
+
+    def counted(thetas, *args):
+        evaluated.append(thetas.shape[0])
+        return first_admissible(thetas, *args)
+
+    monkeypatch.setattr(structure, "_first_admissible", counted)
+    res = lcd_vector(a, q)
+    assert res.unbounded and _reference_lcd_vector(a, q) is None
+    assert sum(evaluated) < 0.05 * n_pts, sum(evaluated)
+    assert res.grid_points_evaluated == sum(evaluated)
+
+
+def test_subspace_sums_grid_points_evaluated(monkeypatch):
+    counts = []
+    vector = structure.lcd_vector
+
+    def counted(a, q):
+        res = vector(a, q)
+        counts.append(res.grid_points_evaluated)
+        return res
+
+    monkeypatch.setattr(structure, "lcd_vector", counted)
+    basis = orthonormalize(sample_array(GAUSSIAN, (6, 3), SeedSpec(8, 0)))
+    q = LcdQuery(alpha=np.sqrt(6.0) / 2.0, gamma=0.5, theta_max=20.0)
+    sub = lcd_subspace_sampled(basis, q, samples=4, seed=SeedSpec(8, 1))
+    assert len(counts) == 4
+    assert sub.grid_points_evaluated == sum(counts) > 0
+
+
 def test_admissibility_buffers_repeat_reference_arithmetic():
     # the distances and limits themselves, bit for bit, not only the decisions
     # they lead to: a reordered sum or product rarely flips a decision
@@ -307,16 +409,23 @@ def test_lcd_vector_memory_is_bounded():
     # 8e6 grid points must still work in a few blocks' worth of memory
     a = sample_array(GAUSSIAN, (20,), SeedSpec(3, 3))
     a /= np.linalg.norm(a)
-    for theta_max in (1e3, 1e4):
-        q = LcdQuery(alpha=0.1, gamma=0.05, theta_max=theta_max, grid_step=1.25e-3)
+    cases = [(a, LcdQuery(alpha=0.1, gamma=0.05, theta_max=theta_max, grid_step=1.25e-3), True)
+             for theta_max in (1e3, 1e4)]
+    # at n = 2 the coarse pass leaves about 87% of the intervals open, so a
+    # fine pass that gathered a coarse block's open grid points at once
+    # would pass 4 MB; it must take them one block at a time
+    b = sample_array(GAUSSIAN, (2,), SeedSpec(3, 3))
+    b /= np.linalg.norm(b)
+    cases.append((b, LcdQuery(alpha=0.35, gamma=0.5, theta_max=8000.0), False))
+    for vec, q, unbounded in cases:
         tracemalloc.start()
         try:
-            res = lcd_vector(a, q)
+            res = lcd_vector(vec, q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.unbounded
-        assert peak < 4e6, (theta_max, peak)
+        assert res.unbounded == unbounded
+        assert peak < 4e6, (vec.shape, q.theta_max, peak)
 
 
 # ---- lcd_subspace_sampled -------------------------------------------------------
