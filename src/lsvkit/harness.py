@@ -222,7 +222,7 @@ class TailSweepConfig:
             if n < 2:
                 raise InvalidDimension(f"n must be >= 2, got {n}")
         for k in self.k_values:
-            if k < 0:
+            if not k >= 0:  # NaN fails too; an infinite K stays accepted
                 raise ValueError(f"thresholds must be nonnegative, got {k}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -362,11 +362,12 @@ def check_markov_sum_bound(distribution, n: int, epsilon: float) -> tuple[float,
     probs = np.array([float(p) for _, p in pairs])
     if not np.all(np.isfinite(vals)) or np.any(vals < 0):
         raise ValueError("support values must be finite and nonnegative")
-    if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
+    # written so that NaN fails every test
+    if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-9):
         raise ValueError("probabilities must be nonnegative and sum to 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if len(pairs) ** n > ENUMERATION_BUDGET:
         raise EnumerationTooLarge(

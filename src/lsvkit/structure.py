@@ -24,7 +24,7 @@ LCD spread their signed sums out and show small small-ball mass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,10 +60,13 @@ def dist_to_lattice(v) -> tuple[float, np.ndarray]:
     """Euclidean distance from v to Z^n and the nearest lattice point.
 
     Ties (half-integer coordinates) round away from zero, fixed for
-    determinism.  The distance never exceeds sqrt(n)/2.
+    determinism.  The distance never exceeds sqrt(n)/2.  Raises
+    ValueError when a coordinate of the lattice point does not fit int64.
     """
     w = as_vector(v)
     rounded = _round_half_away(w)
+    if not np.all((rounded >= -2.0**63) & (rounded < 2.0**63)):
+        raise ValueError("nearest lattice point has a coordinate outside the int64 range")
     d = float(np.linalg.norm(w - rounded))
     return d, rounded.astype(np.int64)
 
@@ -126,106 +129,47 @@ class LcdResult:
         return self.theta_star is None
 
 
-class _LcdBuffers:
-    """Work arrays of one lcd_vector call, reused by every admissibility test."""
+def _lattice_terms(thetas: np.ndarray, a: np.ndarray, a_norm: float, q: LcdQuery,
+                   scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice distances of thetas*a and their limits min(gamma*theta*||a||, alpha).
 
-    def __init__(self, rows: int, n: int):
-        self.offsets = np.arange(rows, dtype=np.float64)
-        self.thetas = np.empty(rows)
-        self.points = np.empty((rows, n))
-        self.rounded = np.empty((rows, n))
-        self.dists = np.empty(rows)
-        self.limits = np.empty(rows)
-        self.ok = np.empty(rows, dtype=bool)
-        self.lower = np.empty(rows)
-        self.ruled_out = np.empty(rows, dtype=bool)
-
-
-def _first_admissible(thetas: np.ndarray, a: np.ndarray, a_norm: float, q: LcdQuery,
-                      buf: _LcdBuffers) -> int | None:
-    """Index of the first admissible entry of thetas (at most buf's rows), or None.
-
-    Same operations, in the same order, as the unbuffered route:
-    _round_half_away, np.linalg.norm(axis=1) (sqrt of add.reduce of the
-    squares) and (gamma*theta)*||a||, so every decision is bitwise the same.
+    The two 2-D intermediates are written into scratch, of shape
+    (2, rows, n) with rows >= len(thetas), in the same operations and
+    order as _round_half_away, np.linalg.norm(axis=1) (sqrt of add.reduce
+    of the squares) and (gamma*theta)*||a||, so every value is bitwise
+    the unbuffered route's.
     """
     m = thetas.shape[0]
-    pts, rnd = buf.points[:m], buf.rounded[:m]
-    dists, limits, ok = buf.dists[:m], buf.limits[:m], buf.ok[:m]
+    pts, rnd = scratch[0, :m], scratch[1, :m]
     np.multiply(thetas[:, None], a, out=pts)
     np.copysign(0.5, pts, out=rnd)  # _round_half_away, written into rnd
     rnd += pts
     np.trunc(rnd, out=rnd)
-    np.subtract(pts, rnd, out=pts)
+    pts -= rnd
     pts *= pts
-    np.add.reduce(pts, axis=1, out=dists)
-    np.sqrt(dists, out=dists)
-    np.multiply(thetas, q.gamma, out=limits)
-    limits *= a_norm
-    np.minimum(limits, q.alpha, out=limits)
-    np.less(dists, limits, out=ok)
-    i = int(ok.argmax())
-    return i if ok[i] else None
-
-
-def _grid_thetas(buf: _LcdBuffers, start: int, count: int, stride: int, n_pts: int,
-                 step: float) -> np.ndarray:
-    """buf.thetas[:count] set to k*step for k = min((start + i)*stride, n_pts).
-
-    Integers below 2**53 are exact in float64, so every theta is k*step
-    rounded once, whichever pass or block computes it.
-    """
-    thetas = buf.thetas[:count]
-    np.add(buf.offsets[:count], start, out=thetas)
-    thetas *= stride
-    np.minimum(thetas, n_pts, out=thetas)
-    thetas *= step
-    return thetas
-
-
-def _open_runs(coarse: np.ndarray, a: np.ndarray, a_norm: float, q: LcdQuery,
-               buf: _LcdBuffers, prev_theta: float, prev_dist: float,
-               margin: float) -> list[list[int]]:
-    """Runs [j0, j1) of the intervals (coarse[j-1], coarse[j]] not ruled out.
-
-    coarse[-1] stands for prev_theta, whose computed distance is
-    prev_dist.  Since theta -> dist(theta a, Z^n) is ||a||-Lipschitz,
-    every theta in interval j lies at distance at least
-    (d[j-1] + d[j] - (coarse[j] - coarse[j-1])*||a||) / 2, and every
-    limit there is at most limits[j], so the interval is ruled out when
-    the first exceeds the second plus margin.  Leaves the coarse points'
-    distances in buf.dists.
-    """
-    m = coarse.shape[0]
-    _first_admissible(coarse, a, a_norm, q, buf)
-    dists, lower, ruled_out = buf.dists[:m], buf.lower[:m], buf.ruled_out[:m]
-    np.subtract(coarse[1:], coarse[:-1], out=lower[1:])
-    lower[0] = coarse[0] - prev_theta
-    lower *= a_norm
-    np.subtract(dists, lower, out=lower)
-    lower[1:] += dists[:-1]
-    lower[0] += prev_dist
-    lower *= 0.5
-    limits = buf.limits[:m]
-    limits += margin
-    np.greater(lower, limits, out=ruled_out)
-    # ruled-out flags change state where an open run starts and where it ends
-    edges = np.flatnonzero(np.diff(ruled_out, prepend=True, append=True))
-    return edges.reshape(-1, 2).tolist()
+    dists = np.sqrt(np.add.reduce(pts, axis=1))
+    return dists, np.minimum(thetas * q.gamma * a_norm, q.alpha)
 
 
 def _scan_grid(a: np.ndarray, a_norm: float, q: LcdQuery, step: float, n_pts: int,
-               buf: _LcdBuffers) -> tuple[float | None, int]:
+               scratch: np.ndarray) -> tuple[float | None, int]:
     """The first admissible grid point k*step, k in [1, n_pts], and the grid points evaluated.
 
     A coarse pass evaluates every stride-th grid point (and the last);
-    the fine pass then scans, in grid order and a block of buf's rows at
-    a time, only the intervals between coarse points that _open_runs
-    cannot rule out.  The stride makes an interval as long, in
-    theta*||a||, as the largest limit min(alpha, gamma*theta_max*||a||),
-    clipped to [1, n_pts].  The first coarse block spans only one fine
-    block's grid points, so an early hit costs little more than the
-    full scan's first block; later coarse blocks hold buf's rows.
+    the fine pass then scans, in grid order and a block of scratch's rows
+    at a time, only the intervals between coarse points that it cannot
+    rule out.  Since theta -> dist(theta a, Z^n) is ||a||-Lipschitz, every
+    theta between consecutive coarse points theta_i < theta_j (theta_i = 0
+    before the first) with computed distances d_i, d_j lies at distance
+    at least (d_i + d_j - (theta_j - theta_i)*||a||) / 2, and every limit
+    there is at most the one at theta_j; an interval whose bound exceeds
+    that limit plus a margin is skipped.  The stride makes an interval as
+    long, in theta*||a||, as the largest limit min(alpha,
+    gamma*theta_max*||a||), clipped to [1, n_pts].  The first coarse
+    block spans only one fine block's grid points, so an early hit costs
+    little more than the full scan's first block.  Integers below 2**53
+    are exact in float64, so every theta is k*step rounded once, whichever
+    pass computes it.
 
     The margin 16*n*eps*(theta_max*||a|| + sqrt(n)) covers the float
     error of the rule.  With u = eps/2 and T = theta*||a|| (at most
@@ -243,7 +187,7 @@ def _scan_grid(a: np.ndarray, a_norm: float, q: LcdQuery, step: float, n_pts: in
     operations.
     """
     n = a.shape[0]
-    rows = buf.thetas.shape[0]
+    rows = scratch.shape[1]
     stride = max(1, min(int(min(q.alpha, q.gamma * q.theta_max * a_norm) / (step * a_norm)),
                         n_pts))
     margin = 16 * n * np.finfo(np.float64).eps * (q.theta_max * a_norm + np.sqrt(n))
@@ -252,20 +196,28 @@ def _scan_grid(a: np.ndarray, a_norm: float, q: LcdQuery, step: float, n_pts: in
     prev_theta = prev_dist = 0.0  # theta = 0 sits on the lattice
     c0, span = 1, -(-rows // stride)
     while c0 <= n_coarse:
-        coarse = _grid_thetas(buf, c0, min(span, n_coarse + 1 - c0), stride, n_pts, step)
-        runs = _open_runs(coarse, a, a_norm, q, buf, prev_theta, prev_dist, margin)
+        ks = np.minimum(np.arange(c0, min(c0 + span, n_coarse + 1)) * stride, n_pts)
+        coarse = ks * step
+        dists, limits = _lattice_terms(coarse, a, a_norm, q, scratch)
         m = coarse.shape[0]
         evaluated += m
-        prev_theta, prev_dist = float(coarse[m - 1]), float(buf.dists[m - 1])
-        for j0, j1 in runs:  # coarse intervals c0+j0 .. c0+j1-1, grid points lo..hi
+        lower = (dists - np.diff(coarse, prepend=prev_theta) * a_norm
+                 + np.concatenate(([prev_dist], dists[:-1]))) * 0.5
+        ruled_out = lower > limits + margin
+        prev_theta, prev_dist = float(coarse[-1]), float(dists[-1])
+        # ruled-out flags change state where an open run starts and where it ends
+        edges = np.flatnonzero(np.diff(ruled_out, prepend=True, append=True))
+        for j0, j1 in edges.reshape(-1, 2).tolist():
+            # coarse intervals c0+j0 .. c0+j1-1, grid points lo..hi
             lo = min((c0 + j0 - 1) * stride, n_pts) + 1
             hi = min((c0 + j1 - 1) * stride, n_pts)
             for k0 in range(lo, hi + 1, rows):
-                thetas = _grid_thetas(buf, k0, min(rows, hi + 1 - k0), 1, n_pts, step)
+                thetas = np.arange(k0, min(k0 + rows, hi + 1)) * step
                 evaluated += thetas.shape[0]
-                i = _first_admissible(thetas, a, a_norm, q, buf)
-                if i is not None:
-                    return float(thetas[i]), evaluated
+                dists, limits = _lattice_terms(thetas, a, a_norm, q, scratch)
+                hits = np.flatnonzero(dists < limits)
+                if hits.size:
+                    return float(thetas[hits[0]]), evaluated
         c0, span = c0 + m, rows
     return None, evaluated
 
@@ -275,9 +227,9 @@ def lcd_vector(a, q: LcdQuery) -> LcdResult:
 
     Scans the grid k*step in order (_scan_grid: a coarse pass, then only
     the intervals it cannot rule out), max(1, BLOCK_ENTRIES // n) points
-    at a time through buffers allocated once per call (the reduction is
-    a minimum, so neither partitioning nor skipping ruled-out points can
-    change the answer), then bisects between the first admissible grid
+    at a time through one scratch array allocated per call (the reduction
+    is a minimum, so neither partitioning nor skipping ruled-out points
+    can change the answer), then bisects between the first admissible grid
     point and its non-admissible predecessor down to BISECTION_TOL.  A
     grid longer than LCD_GRID_BUDGET points is rejected with
     InvalidQuery instead of scanned.
@@ -293,12 +245,14 @@ def lcd_vector(a, q: LcdQuery) -> LcdResult:
             f"theta_max/step = {q.theta_max / step:.3e} grid points exceeds budget {LCD_GRID_BUDGET}")
 
     n_pts = int(np.floor(q.theta_max / step))
-    buf = _LcdBuffers(max(1, min(BLOCK_ENTRIES // vec.shape[0], n_pts)), vec.shape[0])
+    n = vec.shape[0]
+    scratch = np.empty((2, max(1, min(BLOCK_ENTRIES // n, n_pts)), n))
 
     def admissible(theta: float) -> bool:
-        return _first_admissible(np.array([theta]), vec, a_norm, q, buf) is not None
+        dists, limits = _lattice_terms(np.array([theta]), vec, a_norm, q, scratch)
+        return bool(dists[0] < limits[0])
 
-    hit, evaluated = _scan_grid(vec, a_norm, q, step, n_pts, buf)
+    hit, evaluated = _scan_grid(vec, a_norm, q, step, n_pts, scratch)
     if hit is None and n_pts * step < q.theta_max and admissible(q.theta_max):
         hit = float(q.theta_max)  # the ragged end of the interval
     if hit is None:
@@ -338,23 +292,19 @@ def lcd_subspace_sampled(basis: OrthonormalBasis, q: LcdQuery, samples: int,
     norms = np.linalg.norm(dirs, axis=1)
     dirs /= norms[:, None]
 
-    best: LcdResult | None = None
-    best_dir = None
+    best: tuple[LcdResult, np.ndarray] | None = None
     evaluated = 0
-    for i in range(samples):
-        res = lcd_vector(dirs[i], q)
+    for direction in dirs:
+        res = lcd_vector(direction, q)
         evaluated += res.grid_points_evaluated
-        if res.unbounded:
-            continue
-        if best is None or res.theta_star < best.theta_star:
-            best = res
-            best_dir = dirs[i].copy()
+        if not res.unbounded and (best is None or res.theta_star < best[0].theta_star):
+            best = res, direction
     if best is None:
         return LcdResult(theta_star=None, achieved_dist=None, certificate=None,
                          slack=0.0, n_samples=samples, grid_points_evaluated=evaluated)
-    return LcdResult(theta_star=best.theta_star, achieved_dist=best.achieved_dist,
-                     certificate=best.certificate, slack=best.slack,
-                     n_samples=samples, direction=best_dir, grid_points_evaluated=evaluated)
+    res, direction = best
+    return replace(res, n_samples=samples, direction=direction.copy(),
+                   grid_points_evaluated=evaluated)
 
 
 @dataclass(frozen=True)
@@ -378,7 +328,7 @@ def small_ball_estimate(weights, ensemble: Ensemble, epsilon: float, trials: int
     w = as_vector(weights)
     if abs(float(np.linalg.norm(w)) - 1.0) > UNIT_NORM_TOL:
         raise InvalidQuery("weights must have unit Euclidean norm")
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:  # NaN fails too; an infinite epsilon counts every trial
         raise InvalidQuery(f"epsilon must be positive, got {epsilon}")
     if trials < 1:
         raise InvalidQuery(f"trials must be >= 1, got {trials}")

@@ -277,7 +277,10 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError):
         TailSweepConfig(**{**good, "k_values": (-1.0,)})
     with pytest.raises(ValueError):
+        TailSweepConfig(**{**good, "k_values": (float("nan"), 1.0)})
+    with pytest.raises(ValueError):
         TailSweepConfig(**{**good, "trials": 0})
+    TailSweepConfig(**{**good, "k_values": (float("inf"),)})  # every s_n is below it
 
 
 def test_sweep_worker_count_leaves_estimates_identical():
@@ -430,6 +433,11 @@ def test_markov_bound_validation():
         check_markov_sum_bound([(1.0, 1.0)], 0, 0.5)
     with pytest.raises(ValueError):
         check_markov_sum_bound([(1.0, 1.0)], 2, 0.0)
+    with pytest.raises(ValueError):
+        check_markov_sum_bound([(0.0, 0.5), (1.0, 0.5)], 2, float("nan"))
+    with pytest.raises(ValueError):
+        check_markov_sum_bound([(0.0, float("nan")), (1.0, 1.0)], 2, 0.5)
+    assert check_markov_sum_bound([(0.0, 0.5), (1.0, 0.5)], 2, float("inf")) == (1.0, 2.0)
 
 
 # ---- tail model fit ---------------------------------------------------------

@@ -51,6 +51,18 @@ def test_lattice_distance_plain_case():
     assert rounded.tolist() == [0, 0]
 
 
+@pytest.mark.parametrize("v", [[1e19, 2.5], [-1e19], [2.0**63], [-(2.0**63) - 2048.0]])
+def test_lattice_distance_rejects_points_outside_int64(v):
+    with pytest.raises(ValueError):
+        dist_to_lattice(np.array(v))
+
+
+def test_lattice_distance_accepts_int64_extremes():
+    # -2**63 and the largest double below 2**63 are int64 values
+    _, rounded = dist_to_lattice(np.array([-(2.0**63), 2.0**63 - 1024.0]))
+    assert rounded.tolist() == [-(2**63), 2**63 - 1024]
+
+
 def test_lattice_distance_never_exceeds_half_sqrt_n():
     for seed in range(5):
         v = 100.0 * sample_array(GAUSSIAN, (17,), SeedSpec(seed, 0))
@@ -61,6 +73,9 @@ def test_lattice_distance_never_exceeds_half_sqrt_n():
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(min_value=-(2**20), max_value=2**20), min_size=1, max_size=8),
        st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=8))
+# v = -0.5 rounds to -1 but v + 1 = 0.5 rounds to 1: ties round away from
+# zero, which does not shift with z across zero
+@example(numerators=[3, -524288], shift=[2, 1])
 def test_lattice_periodicity_exact(numerators, shift):
     n = min(len(numerators), len(shift))
     # dyadic rationals keep v + z exactly representable, so equality is exact
@@ -69,7 +84,10 @@ def test_lattice_periodicity_exact(numerators, shift):
     d1, r1 = dist_to_lattice(v)
     d2, r2 = dist_to_lattice(v + z)
     assert d1 == d2
-    assert np.array_equal(r2, r1 + z.astype(np.int64))
+    tie = v - np.floor(v) == 0.5
+    assert np.array_equal(r2[~tie], r1[~tie] + z[~tie].astype(np.int64))
+    for w, r in ((v, r1), (v + z, r2)):
+        assert np.array_equal(r[tie], w[tie] + np.copysign(0.5, w[tie]))
 
 
 # ---- LcdQuery validation ------------------------------------------------------
@@ -359,13 +377,13 @@ def test_lcd_scan_skips_ruled_out_grid_points(monkeypatch):
     n_pts = int(np.floor(q.theta_max / q.resolved_step(float(np.linalg.norm(a)))))
     assert n_pts == 80_000
     evaluated = []
-    first_admissible = structure._first_admissible
+    lattice_terms = structure._lattice_terms
 
     def counted(thetas, *args):
         evaluated.append(thetas.shape[0])
-        return first_admissible(thetas, *args)
+        return lattice_terms(thetas, *args)
 
-    monkeypatch.setattr(structure, "_first_admissible", counted)
+    monkeypatch.setattr(structure, "_lattice_terms", counted)
     res = lcd_vector(a, q)
     assert res.unbounded and _reference_lcd_vector(a, q) is None
     assert sum(evaluated) < 0.05 * n_pts, sum(evaluated)
@@ -389,7 +407,7 @@ def test_subspace_sums_grid_points_evaluated(monkeypatch):
     assert sub.grid_points_evaluated == sum(counts) > 0
 
 
-def test_admissibility_buffers_repeat_reference_arithmetic():
+def test_lattice_terms_repeat_reference_arithmetic():
     # the distances and limits themselves, bit for bit, not only the decisions
     # they lead to: a reordered sum or product rarely flips a decision
     for n in (1, 7, 20, 33):
@@ -397,11 +415,26 @@ def test_admissibility_buffers_repeat_reference_arithmetic():
         a_norm = float(np.linalg.norm(a))
         q = LcdQuery(alpha=0.5 * np.sqrt(n), gamma=0.3)
         thetas = np.arange(1, 2001, dtype=np.float64) * 0.0137
-        buf = structure._LcdBuffers(thetas.size, n)
-        structure._first_admissible(thetas, a, a_norm, q, buf)
+        dists, limits = structure._lattice_terms(thetas, a, a_norm, q,
+                                                 np.empty((2, thetas.size, n)))
         d, limit = _reference_terms(thetas, a, a_norm, q)
-        assert buf.dists.tobytes() == d.tobytes()
-        assert buf.limits.tobytes() == limit.tobytes()
+        assert dists.tobytes() == d.tobytes()
+        assert limits.tobytes() == limit.tobytes()
+
+
+def test_lattice_terms_round_ties_like_dist_to_lattice():
+    # thetas*a holds exact half-integers of both signs, and +-(0.5 - 2**-54):
+    # adding 0.5 to that rounds up to 1.0, so the documented rule rounds it
+    # away from zero where np.rint (ties to even) rounds it to 0; at exact
+    # ties both rules give the same distance
+    h = 0.5 - 2.0**-54
+    q = LcdQuery(alpha=1.0, gamma=0.5)
+    thetas = np.array([1.0, 3.0, 5.0])
+    for a in (np.array([0.5, -1.5, 2.5]), np.array([h]), np.array([-h])):
+        dists, _ = structure._lattice_terms(thetas, a, float(np.linalg.norm(a)), q,
+                                            np.empty((2, thetas.size, a.size)))
+        ref = np.array([dist_to_lattice(t * a)[0] for t in thetas])
+        assert dists.tobytes() == ref.tobytes(), a
 
 
 def test_lcd_vector_memory_is_bounded():
@@ -559,6 +592,9 @@ def test_small_ball_validation():
     unit = w / np.linalg.norm(w)
     with pytest.raises(InvalidQuery):
         small_ball_estimate(unit, RADEMACHER, 0.0, 10, SeedSpec(0, 0))
+    with pytest.raises(InvalidQuery):
+        small_ball_estimate(unit, RADEMACHER, np.nan, 10, SeedSpec(0, 0))
+    assert small_ball_estimate(unit, RADEMACHER, np.inf, 10, SeedSpec(0, 0)).hits == 10
     with pytest.raises(InvalidQuery):
         small_ball_estimate(unit, RADEMACHER, 0.5, 0, SeedSpec(0, 0))
 
