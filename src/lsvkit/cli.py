@@ -39,7 +39,15 @@ from .harness import (
     write_tail_csv,
 )
 from .linalg import orthonormalize
-from .structure import LcdQuery, default_alpha, lcd_subspace_sampled, lcd_vector, small_ball_estimate
+from .structure import (
+    DEFAULT_GAMMA,
+    DEFAULT_THETA_MAX,
+    LcdQuery,
+    default_alpha,
+    lcd_subspace_sampled,
+    lcd_vector,
+    small_ball_estimate,
+)
 from .witness import audit
 
 # bench/layers.py traces this per-matrix name by rebinding it here
@@ -127,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     lcd.add_argument("--seed", type=_uint64, default=0)
     lcd.add_argument("--alpha", type=_pos_float, default=None,
                      help="admissibility cap (default sqrt(n)/2)")
-    lcd.add_argument("--gamma", type=_gamma01, default=0.5)
-    lcd.add_argument("--theta-max", type=_pos_float, default=1e4)
+    lcd.add_argument("--gamma", type=_gamma01, default=DEFAULT_GAMMA)
+    lcd.add_argument("--theta-max", type=_pos_float, default=DEFAULT_THETA_MAX)
     lcd.add_argument("--grid-step", type=_pos_float, default=None)
     lcd.add_argument("--out", required=True, help="JSON output path")
 

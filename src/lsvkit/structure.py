@@ -47,13 +47,22 @@ BLOCK_ENTRIES = 1 << 16
 
 
 def default_alpha(n: int) -> float:
-    """Default admissibility cap alpha = sqrt(n)/2 for dimension n."""
+    """Default admissibility cap alpha = sqrt(n)/2 for dimension n.
+
+    sqrt(n)/2 is the largest distance of any point of R^n from Z^n, so
+    this cap never binds: only the deep holes (Z + 1/2)^n sit at distance
+    alpha, every other theta with gamma*theta*||a|| > alpha is admissible,
+    and every direction's LCD is at most about sqrt(n)/(2*gamma*||a||).
+    """
     return 0.5 * np.sqrt(n)
 
 
-def _round_half_away(v: np.ndarray) -> np.ndarray:
-    # np.round ties to even; the lattice contract wants ties away from zero
-    return np.trunc(v + np.copysign(0.5, v))
+def _round_half_away(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # np.round ties to even; the lattice contract wants ties away from zero.
+    # trunc(v + copysign(0.5, v)), written into out when given
+    r = np.copysign(0.5, v, out=out)
+    np.add(v, r, out=r)
+    return np.trunc(r, out=r)
 
 
 def dist_to_lattice(v) -> tuple[float, np.ndarray]:
@@ -134,18 +143,15 @@ def _lattice_terms(thetas: np.ndarray, a: np.ndarray, a_norm: float, q: LcdQuery
     """Lattice distances of thetas*a and their limits min(gamma*theta*||a||, alpha).
 
     The two 2-D intermediates are written into scratch, of shape
-    (2, rows, n) with rows >= len(thetas), in the same operations and
-    order as _round_half_away, np.linalg.norm(axis=1) (sqrt of add.reduce
-    of the squares) and (gamma*theta)*||a||, so every value is bitwise
-    the unbuffered route's.
+    (2, rows, n) with rows >= len(thetas), by _round_half_away and in the
+    same operations and order as np.linalg.norm(axis=1) (sqrt of
+    add.reduce of the squares) and (gamma*theta)*||a||, so every value is
+    bitwise the unbuffered route's.
     """
     m = thetas.shape[0]
     pts, rnd = scratch[0, :m], scratch[1, :m]
     np.multiply(thetas[:, None], a, out=pts)
-    np.copysign(0.5, pts, out=rnd)  # _round_half_away, written into rnd
-    rnd += pts
-    np.trunc(rnd, out=rnd)
-    pts -= rnd
+    pts -= _round_half_away(pts, out=rnd)
     pts *= pts
     dists = np.sqrt(np.add.reduce(pts, axis=1))
     return dists, np.minimum(thetas * q.gamma * a_norm, q.alpha)

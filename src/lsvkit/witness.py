@@ -67,51 +67,29 @@ def construct_witness_vector(a, column: int = 0) -> np.ndarray:
     return _witness_parts(a, column)[-1]
 
 
-@dataclass(frozen=True)
-class _WitnessState:
-    matrix: np.ndarray
-    column: int
-    others: list
-    basis: OrthonormalBasis        # orthonormal basis of H
-    witness: np.ndarray
-    norm_x: float
-    dual_rows: np.ndarray          # all rows of A^{-1}
-    projected_duals: np.ndarray    # Y_k rows, k running over others
-    ainv_x: np.ndarray
-
-
-def _witness_state(a, column: int) -> _WitnessState:
-    m, others, fac, basis, x = _witness_parts(a, column)
+def _duals(fac, basis: OrthonormalBasis, others: list) -> tuple[np.ndarray, np.ndarray]:
+    """(all rows of A^{-1}, the projected rows Y_k = P X_k* for k in others)."""
     duals = np.ascontiguousarray(fac.inverse())
-    projected = (duals @ basis.vectors.T) @ basis.vectors
-    return _WitnessState(
-        matrix=m,
-        column=column,
-        others=others,
-        basis=basis,
-        witness=x,
-        norm_x=float(np.linalg.norm(x)),
-        dual_rows=duals,
-        projected_duals=projected[others],
-        ainv_x=fac.solve(x),
-    )
+    return duals, ((duals @ basis.vectors.T) @ basis.vectors)[others]
 
 
 def dual_projections(a, column: int = 0) -> np.ndarray:
     """Rows Y_k = P X_k* for k != column, in increasing k order."""
-    return _witness_state(a, column).projected_duals
+    _, others, fac, basis, _ = _witness_parts(a, column)
+    return _duals(fac, basis, others)[1]
 
 
-def _ab_from_state(st: _WitnessState) -> tuple[np.ndarray, np.ndarray]:
-    y_norms = np.linalg.norm(st.projected_duals, axis=1)
+def _norms_ab(m: np.ndarray, column: int, others: list,
+              projected: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(||Y_k||, a_k, b_k); DegenerateGeometry when a ||Y_k|| or b_k is below DEGENERATE_EPS."""
+    y_norms = np.linalg.norm(projected, axis=1)
     if y_norms.size and y_norms.min() <= DEGENERATE_EPS:
         raise DegenerateGeometry(f"projected dual norm {y_norms.min():.3e} below trust threshold")
-    xc = st.matrix[:, st.column]
-    a_vals = np.abs(st.projected_duals @ xc) / y_norms
-    b_vals = leave_one_out_distances(st.matrix[:, st.others])
+    a_vals = np.abs(projected @ m[:, column]) / y_norms
+    b_vals = leave_one_out_distances(m[:, others])
     if b_vals.size and b_vals.min() <= DEGENERATE_EPS:
         raise DegenerateGeometry(f"column distance {b_vals.min():.3e} below trust threshold")
-    return a_vals, b_vals
+    return y_norms, a_vals, b_vals
 
 
 def compute_ab(a, column: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +99,8 @@ def compute_ab(a, column: int = 0) -> tuple[np.ndarray, np.ndarray]:
     leave-two-out column distance; 1/||Y_k|| must reproduce b_k, which
     audit() verifies at NORM_DISTANCE_RTOL.
     """
-    return _ab_from_state(_witness_state(a, column))
+    m, others, fac, basis, _ = _witness_parts(a, column)
+    return _norms_ab(m, column, others, _duals(fac, basis, others)[1])[1:]
 
 
 @dataclass(frozen=True)
@@ -167,51 +146,55 @@ def audit(a, column: int = 0) -> WitnessReport:
     Raises SingularMatrix / DegenerateGeometry on precondition failures;
     tolerance breaches go into WitnessReport.violations.
     """
-    st = _witness_state(a, column)
-    a_vals, b_vals = _ab_from_state(st)
+    m, others, fac, basis, x = _witness_parts(a, column)
+    duals, projected = _duals(fac, basis, others)
+    y_norms, a_vals, b_vals = _norms_ab(m, column, others, projected)
     violations: list[dict] = []
 
     def check(name: str, observed: float, allowed: float):
         if observed > allowed:
             violations.append({"check": name, "observed": float(observed), "allowed": float(allowed)})
 
-    dist_c = dist_to_subspace(st.matrix[:, st.column], st.basis)
-    check("witness_norm_equals_distance", abs(st.norm_x - dist_c), WITNESS_NORM_RTOL * dist_c)
+    # the distinguished dual is orthogonal to H with <X_c*, X_c> = 1, so its
+    # norm is 1/dist(X_c, H): the LU inverse against the QR projection
+    dual_c = duals[column]
+    dual_c_norm = float(np.linalg.norm(dual_c))
+    dist_c = dist_to_subspace(m[:, column], basis)
+    check("witness_norm_equals_distance", abs(1.0 / dual_c_norm - dist_c), WITNESS_NORM_RTOL * dist_c)
 
     # the distinguished dual spans the orthogonal complement of H, so its
     # projection onto H must vanish
-    dual_c = st.dual_rows[st.column]
-    kernel_resid = float(np.linalg.norm(project_onto(st.basis, dual_c)))
-    check("kernel_annihilation", kernel_resid, KERNEL_RTOL * float(np.linalg.norm(dual_c)))
+    kernel_resid = float(np.linalg.norm(project_onto(basis, dual_c)))
+    check("kernel_annihilation", kernel_resid, KERNEL_RTOL * dual_c_norm)
 
-    gram = st.projected_duals @ st.matrix[:, st.others]
-    gram_defect = float(np.abs(gram - np.eye(len(st.others))).max())
+    gram = projected @ m[:, others]
+    gram_defect = float(np.abs(gram - np.eye(len(others))).max())
     check("reduced_biorthogonality", gram_defect, REDUCED_BIORTHO_TOL)
 
-    y_norms = np.linalg.norm(st.projected_duals, axis=1)
     product_defect = float(np.abs(y_norms * b_vals - 1.0).max())
     check("dual_norm_distance_product", product_defect, NORM_DISTANCE_RTOL)
 
-    ainv_x_norm = float(np.linalg.norm(st.ainv_x))
+    norm_x = float(np.linalg.norm(x))
+    ainv_x_norm = float(np.linalg.norm(fac.solve(x)))
     ratio_sum_sq = float(np.sum((a_vals / b_vals) ** 2))
     shortfall = ratio_sum_sq - ainv_x_norm**2
     check("inverse_image_lower_bound", shortfall, LOWER_BOUND_TOL * (1.0 + ratio_sum_sq))
 
-    s_n = smallest_singular_value(st.matrix)
-    implied = st.norm_x / ainv_x_norm
+    s_n = smallest_singular_value(m)
+    implied = norm_x / ainv_x_norm
     check("variational_upper_bound", s_n, implied * (1.0 + UPPER_BOUND_RTOL))
 
     return WitnessReport(
-        n=st.matrix.shape[0],
-        column=st.column,
-        norm_x=st.norm_x,
+        n=m.shape[0],
+        column=column,
+        norm_x=norm_x,
         ainv_x_norm=ainv_x_norm,
         implied_bound=implied,
         s_n=s_n,
         ratio_sum_sq=ratio_sum_sq,
         a_values=a_vals,
         b_values=b_vals,
-        witness=st.witness,
+        witness=x,
         violations=tuple(violations),
     )
 

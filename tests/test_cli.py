@@ -23,6 +23,8 @@ from lsvkit.errors import SingularMatrix
 from lsvkit.harness import MAX_WORKERS
 from lsvkit.linalg import orthonormalize
 from lsvkit.structure import (
+    DEFAULT_GAMMA,
+    DEFAULT_THETA_MAX,
     LCD_SAMPLE_BUDGET,
     LcdQuery,
     lcd_subspace_sampled,
@@ -166,6 +168,12 @@ def test_lcd_vector_mode_json(tmp_path):
     assert doc["theta_star"] == pytest.approx(2.0 / 3.0, abs=1e-6)
     assert doc["certificate"] == [1, 0]
     assert doc["achieved_dist"] < 0.5 * doc["theta_star"] + doc["slack"]
+
+
+def test_lcd_defaults_are_the_library_defaults():
+    args = cli.build_parser().parse_args(["lcd", "--vector", "1,0", "--out", "lcd.json"])
+    assert (args.gamma, args.theta_max) == (DEFAULT_GAMMA, DEFAULT_THETA_MAX)
+    assert args.alpha is None  # resolved to default_alpha(n) once n is known
 
 
 def test_lcd_subspace_mode_json(tmp_path):

@@ -90,6 +90,23 @@ def test_only_map_trials_samples_matrices():
         "harness.py": [("map_trials", "sample_matrices")]}
 
 
+def _rounding_references(tree):
+    """(top-level definition, name) of every reference to trunc or copysign."""
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in ("trunc", "copysign"):
+                yield owner, name
+
+
+def test_only_round_half_away_rounds_to_the_lattice():
+    # one rounding rule: dist_to_lattice and the LCD scan both call _round_half_away
+    path = Path(lsvkit.__file__).parent / "structure.py"
+    found = set(_rounding_references(ast.parse(path.read_text(encoding="utf-8"))))
+    assert found == {("_round_half_away", "trunc"), ("_round_half_away", "copysign")}
+
+
 def _dotted(node) -> list[str]:
     if isinstance(node, ast.Name):
         return [node.id]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lsvkit import witness
 from lsvkit.ensembles import GAUSSIAN, RADEMACHER, STUDENT_T5, UNIFORM, SeedSpec, sample_array, sample_matrix
 from lsvkit.errors import DegenerateGeometry, DimensionMismatch, InvalidDimension, SingularMatrix
 from lsvkit.witness import (
@@ -71,6 +72,32 @@ def test_inverse_image_decomposition_identity():
     lead = inverse(a)[0] @ rep.witness
     assert rep.ainv_x_norm**2 == pytest.approx(lead**2 + rep.ratio_sum_sq, rel=1e-8)
     assert np.allclose(lu_solve(a, rep.witness), inverse(a) @ rep.witness, atol=1e-9)
+
+
+@pytest.mark.parametrize("ensemble, n, column", [
+    (GAUSSIAN, 2, 1), (RADEMACHER, 5, 0), (UNIFORM, 9, 4), (STUDENT_T5, 16, 15), (GAUSSIAN, 30, 7),
+])
+def test_public_routes_repeat_the_audit(ensemble, n, column):
+    # every public route reads the one witness computation: bit for bit
+    a = sample_matrix(ensemble, n, SeedSpec(106, 0))
+    rep = audit(a, column)
+    assert construct_witness_vector(a, column).tobytes() == rep.witness.tobytes()
+    a_vals, b_vals = compute_ab(a, column)
+    assert a_vals.tobytes() == rep.a_values.tobytes()
+    assert b_vals.tobytes() == rep.b_values.tobytes()
+    y = dual_projections(a, column)
+    assert (np.abs(y @ a[:, column]) / np.linalg.norm(y, axis=1)).tobytes() == rep.a_values.tobytes()
+    assert np.abs(1.0 / np.linalg.norm(y, axis=1) / rep.b_values - 1.0).max() <= 1e-6
+
+
+def test_witness_norm_check_compares_an_independent_route(monkeypatch):
+    # ||x|| and dist(X_c, H) come from the same projection; 1/||X_c*|| comes
+    # from the LU inverse, so with no tolerance the check reports its gap
+    monkeypatch.setattr(witness, "WITNESS_NORM_RTOL", 0.0)
+    rep = audit(sample_matrix(GAUSSIAN, 20, SeedSpec(0, 0)), 0)
+    [v] = rep.violations
+    assert v["check"] == "witness_norm_equals_distance" and v["allowed"] == 0.0
+    assert 0.0 < v["observed"] <= 1e-11 * rep.norm_x
 
 
 @pytest.mark.parametrize("ensemble", [GAUSSIAN, RADEMACHER, UNIFORM, STUDENT_T5])
