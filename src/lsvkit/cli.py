@@ -82,8 +82,8 @@ _pos_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite rea
 _nonneg_float = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite real >= 0")
 _gamma01 = _checked(float, lambda v: 0 < v < 1, "a real in the open interval (0, 1)")
 _float_list = _checked(lambda text: [float(part) for part in text.split(",") if part != ""],
-                       lambda values: all(map(math.isfinite, values)),
-                       "comma-separated finite reals")
+                       lambda values: bool(values) and all(map(math.isfinite, values)),
+                       "one or more comma-separated finite reals")
 
 
 _ENSEMBLE_NAMES = sorted(ENSEMBLES)
@@ -125,10 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     lcd = sub.add_parser("lcd", allow_abbrev=False,
                          help="least common denominator search, JSON output")
-    lcd.add_argument("--vector", type=_float_list,
-                     help="direction as comma-separated reals (vector mode)")
-    lcd.add_argument("--subspace-dim", type=_pos_int,
-                     help="subspace dimension (sampled subspace mode)")
+    mode = lcd.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--vector", type=_float_list,
+                      help="direction as comma-separated reals (vector mode)")
+    mode.add_argument("--subspace-dim", type=_pos_int,
+                      help="subspace dimension (sampled subspace mode)")
     lcd.add_argument("--n", type=_dim, help="ambient dimension (subspace mode)")
     lcd.add_argument("--samples", type=_pos_int, default=100,
                      help="sampled directions in subspace mode (default 100)")
@@ -156,19 +157,13 @@ def build_parser() -> argparse.ArgumentParser:
 # ---- serialization helpers ----------------------------------------------
 
 def _g10(obj):
-    """Round every float to 10 significant digits, recursively."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, (float, np.floating)):
+    """Round every float inside dicts and lists to 10 significant digits."""
+    if isinstance(obj, float):
         return float(fmt_g10(obj))
-    if isinstance(obj, np.integer):
-        return int(obj)
     if isinstance(obj, dict):
         return {k: _g10(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [_g10(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_g10(v) for v in obj.tolist()]
     return obj
 
 
@@ -185,11 +180,11 @@ def _write_data_json(path: Path, doc) -> None:
 # ---- command runners -----------------------------------------------------
 # A runner gets the parsed flags as a dict keyed by argparse dest (a
 # replayed manifest is parsed as flags too); that dict, as the runner
-# leaves it, is the manifest's `parameters`.  It appends every path it
-# creates to `created` so failures can be cleaned up, and returns
-# (exit_code, extra manifest fields).
+# leaves it, is the manifest's `parameters`.  It writes no file: it
+# returns (exit_code, data, extra manifest fields), and _execute writes
+# data to --out (the tail estimates as CSV, any other data as JSON).
 
-def _run_tail(params: dict, created: list) -> tuple[int, dict]:
+def _run_tail(params: dict) -> tuple[int, list, dict]:
     cfg = TailSweepConfig(
         ensemble=get_ensemble(params["ensemble"]),
         n_values=tuple(params["n_values"]),
@@ -200,16 +195,13 @@ def _run_tail(params: dict, created: list) -> tuple[int, dict]:
         workers=params["workers"],
     )
     estimates = run_tail_sweep(cfg)
-    out = Path(params["out"])
-    created.append(out)
-    write_tail_csv(estimates, out)
-    if cfg.direction == "upper" and any(k < 2.0 for k in cfg.k_values):
+    if not all(e.in_guarantee_range for e in estimates):
         print("note: upper-tail thresholds below 2 are outside the guaranteed range "
               "(curve-shape only)", file=sys.stderr)
-    return 0, {}
+    return 0, estimates, {}
 
 
-def _run_witness(params: dict, created: list) -> tuple[int, dict]:
+def _run_witness(params: dict) -> tuple[int, list, dict]:
     ens = get_ensemble(params["ensemble"])
     n = params["n"]
     if not 1 <= params["column"] <= n:
@@ -224,26 +216,19 @@ def _run_witness(params: dict, created: list) -> tuple[int, dict]:
 
     reports, singular = map_trials(lambda stack: [audited(m) for m in stack], ens, n,
                                    params["trials"], params["seed"], params["workers"])
-    out = Path(params["out"])
-    created.append(out)
-    _write_data_json(out, [rep.to_json_dict() for rep in reports])
     violations = sum(len(rep.violations) for rep in reports)
-    code = 1 if violations else 0
-    return code, {"singular_resamples": singular, "violations_total": violations}
+    return (1 if violations else 0, [rep.to_json_dict() for rep in reports],
+            {"singular_resamples": singular, "violations_total": violations})
 
 
-def _run_lcd(params: dict, created: list) -> tuple[int, dict]:
+def _run_lcd(params: dict) -> tuple[int, dict, dict]:
     vector_mode = params["vector"] is not None
-    if vector_mode == (params["subspace_dim"] is not None):
-        raise UsageError("exactly one of --vector and --subspace-dim is required")
     # the manifest records only the chosen mode's flags
     for key in ("subspace_dim", "n", "samples", "seed") if vector_mode else ("vector",):
         del params[key]
 
     if vector_mode:
         vec = np.asarray(params["vector"], dtype=np.float64)
-        if vec.size == 0:
-            raise UsageError("--vector must be a nonzero vector")
         n = vec.size
         head = {"mode": "vector", "vector": vec.tolist()}
 
@@ -287,18 +272,14 @@ def _run_lcd(params: dict, created: list) -> tuple[int, dict]:
     }
     if not vector_mode:
         doc["direction"] = None if res.direction is None else res.direction.tolist()
-
-    out = Path(params["out"])
-    created.append(out)
-    _write_data_json(out, doc)
-    return 0, {"grid_points_evaluated": res.grid_points_evaluated}
+    return 0, doc, {"grid_points_evaluated": res.grid_points_evaluated}
 
 
-def _run_smallball(params: dict, created: list) -> tuple[int, dict]:
+def _run_smallball(params: dict) -> tuple[int, dict, dict]:
     ens = get_ensemble(params["ensemble"])
     raw = np.asarray(params["weights"], dtype=np.float64)
     norm = float(np.linalg.norm(raw))
-    if raw.size == 0 or norm == 0.0:
+    if norm == 0.0:
         raise UsageError("--weights must be a nonzero vector")
     weights = raw / norm
     seed = params["seed"]
@@ -315,10 +296,7 @@ def _run_smallball(params: dict, created: list) -> tuple[int, dict]:
         "ci_low": est.ci_low,
         "ci_high": est.ci_high,
     }
-    out = Path(params["out"])
-    created.append(out)
-    _write_data_json(out, doc)
-    return 0, {}
+    return 0, doc, {}
 
 
 _RUNNERS = {
@@ -338,18 +316,23 @@ def _cleanup(created: list) -> None:
 
 
 def _execute(command: str, params: dict) -> int:
-    runner = _RUNNERS[command]
+    out = Path(params["out"])
     created: list = []
     start = time.perf_counter()
     try:
-        code, extra = runner(params, created)
+        code, data, extra = _RUNNERS[command](params)
+        created.append(out)
+        if command == "tail":
+            write_tail_csv(data, out)
+        else:
+            _write_data_json(out, data)
         manifest = {
             "command": command,
             "version": __version__,
             "parameters": params,
             "master_seed": params.get("seed"),
             "duration_seconds": float(fmt_g10(time.perf_counter() - start)),
-            "outputs": [str(p) for p in created],
+            "outputs": [str(out)],
             **extra,
         }
         manifest_path = Path(str(params["out"]) + ".manifest.json")

@@ -16,7 +16,8 @@ Frozen generation scheme (changing any constant is a breaking change):
 
       key = mix(mix(master_seed + G) ^ mix(stream_index + 2*G))
 
-* raw word for counter ``m`` (m = 0, 1, 2, ...)::
+* raw word for counter ``m`` (m = 0, 1, ..., 2**64 - 2, so that m + 1
+  is a uint64)::
 
       w_m = mix(key + (m + 1) * G)
 
@@ -101,8 +102,12 @@ def stream_keys(master_seed: int, streams) -> np.ndarray:
     wrap mod 2**64 like every other step of the scheme.
     """
     _check_u64("master_seed", master_seed)
+    try:
+        s = np.asarray(streams, dtype=np.uint64)
+    except OverflowError:  # numpy's error for a Python int outside uint64
+        raise ValueError("stream indices must be integers in [0, 2**64)") from None
     a = _mix(np.array([master_seed], dtype=np.uint64) + _G)
-    return _mix(a ^ _mix(np.asarray(streams, dtype=np.uint64) + _G2))
+    return _mix(a ^ _mix(s + _G2))
 
 
 def _uniforms(keys: np.ndarray, start: int, count: int) -> np.ndarray:
@@ -128,9 +133,11 @@ def _uniforms(keys: np.ndarray, start: int, count: int) -> np.ndarray:
 
 
 def uniform_stream(seed: SeedSpec, start: int, count: int) -> np.ndarray:
-    """Uniform draws in (0, 1) for counters start .. start+count-1."""
+    """Uniform draws in (0, 1) for counters start .. start+count-1, all below 2**64 - 1."""
     if start < 0 or count < 0:
         raise ValueError("start and count must be nonnegative")
+    if start + count >= 1 << 64:
+        raise ValueError(f"counters must lie below 2**64 - 1, got {start} .. {start + count - 1}")
     return _uniforms(np.uint64(seed.key()), start, count)
 
 

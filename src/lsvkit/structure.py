@@ -39,6 +39,7 @@ BISECTION_TOL = 1e-10
 UNIT_NORM_TOL = 1e-10
 LCD_GRID_BUDGET = 10_000_000
 LCD_SAMPLE_BUDGET = 10_000
+SMALL_BALL_TRIAL_BUDGET = 1 << 32  # the trial cap of the tail and witness runs
 
 # Entries per LCD scan block (grid points x n) and uniforms per small-ball
 # block (trials x n x draws per entry): small enough to stay in cache, large
@@ -58,11 +59,17 @@ def default_alpha(n: int) -> float:
 
 
 def _round_half_away(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # np.round ties to even; the lattice contract wants ties away from zero.
-    # trunc(v + copysign(0.5, v)), written into out when given
-    r = np.copysign(0.5, v, out=out)
-    np.add(v, r, out=r)
-    return np.trunc(r, out=r)
+    # np.round ties to even; the lattice contract wants ties away from zero:
+    # r = trunc(v), plus copysign(1, v) where |v - r| >= 0.5, written into out
+    # when given.  v - r and its double are exact, so trunc(2|v - r|) is that
+    # indicator; trunc(v + copysign(0.5, v)) would round the sum, taking
+    # 2**52 + 1 to 2**52 + 2 and 0.5 - 2**-54 to 1.
+    r = np.trunc(v, out=out)
+    f = v - r
+    np.abs(f, out=f)
+    f += f
+    r += np.copysign(np.trunc(f, out=f), v, out=f)
+    return r
 
 
 def dist_to_lattice(v) -> tuple[float, np.ndarray]:
@@ -329,15 +336,17 @@ def small_ball_estimate(weights, ensemble: Ensemble, epsilon: float, trials: int
 
     Entry (t, i) of the sample block sits at counter t*n + i of the
     stream, so max(1, BLOCK_ENTRIES // (n * draws_per_entry)) trials per
-    block reproduce the same draws exactly in bounded memory.
+    block reproduce the same draws exactly in bounded memory.  More than
+    SMALL_BALL_TRIAL_BUDGET trials are rejected with InvalidQuery before
+    any is drawn.
     """
     w = as_vector(weights)
     if abs(float(np.linalg.norm(w)) - 1.0) > UNIT_NORM_TOL:
         raise InvalidQuery("weights must have unit Euclidean norm")
     if not epsilon > 0.0:  # NaN fails too; an infinite epsilon counts every trial
         raise InvalidQuery(f"epsilon must be positive, got {epsilon}")
-    if trials < 1:
-        raise InvalidQuery(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials <= SMALL_BALL_TRIAL_BUDGET:
+        raise InvalidQuery(f"trials must lie in [1, {SMALL_BALL_TRIAL_BUDGET}], got {trials}")
     n = w.shape[0]
     chunk = max(1, BLOCK_ENTRIES // (n * ensemble.draws_per_entry))
     hits = 0

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from oracles import first_accepted_draw
 
-from lsvkit import cli, harness
+from lsvkit import cli, harness, structure
 from lsvkit.ensembles import GAUSSIAN, RADEMACHER, SeedSpec, sample_array
 from lsvkit.errors import SingularMatrix
 from lsvkit.harness import MAX_WORKERS
@@ -306,6 +306,34 @@ def test_usage_errors_exit_2(tmp_path, tmp_path_factory):
         assert "invalid _" not in r.stderr, (argv, r.stderr)  # no private type names
         assert not argv or "error:" in r.stderr, (argv, r.stderr)
     assert list(tmp_path.iterdir()) == []  # nothing may be left behind
+
+
+@pytest.mark.parametrize("argv", [
+    ["lcd"],
+    ["lcd", "--vector", "1,0", "--subspace-dim", "2", "--n", "4"],
+    ["lcd", "--vector=,"],
+    ["smallball", "--weights=,", "--ensemble", "gaussian", "--epsilon", "0.5", "--trials", "5"],
+], ids=["lcd-no-mode", "lcd-both-modes", "lcd-empty-vector", "smallball-empty-weights"])
+def test_parser_rejects_lcd_modes_and_empty_lists(tmp_path, capsys, argv):
+    # stated once, in argparse: exactly one lcd mode, and nonempty real lists
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path / "data.json")])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_smallball_over_the_trial_budget_exits_2_before_drawing(tmp_path, monkeypatch, capsys):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew samples before the trial budget was checked")
+
+    monkeypatch.setattr(structure, "sample_array", no_draws)
+    code = cli.main(["smallball", "--weights", "1,1", "--ensemble", "gaussian", "--epsilon", "0.5",
+                     "--trials", str(structure.SMALL_BALL_TRIAL_BUDGET + 1),
+                     "--out", str(tmp_path / "sb.json")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_runtime_failure_exits_1_and_leaves_nothing(tmp_path):

@@ -172,6 +172,29 @@ def test_seedspec_validation():
         SeedSpec(0.5, 0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: stream_keys(0, [2**64]),
+    lambda: stream_keys(0, [-1]),
+    lambda: sample_matrices(GAUSSIAN, 2, 0, [-1]),
+    lambda: sample_array(STUDENT_T5, 1, SeedSpec(0, 0), entry_offset=2**62),
+], ids=["stream-2**64", "stream-negative", "matrices-stream-negative", "t5-counter-past-2**64"])
+def test_out_of_range_streams_and_counters_raise_value_error(call):
+    # the same error SeedSpec raises for a stream index outside uint64
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_counter_bound_is_exact():
+    # counter m hashes m + 1 as a uint64, so the last counter is 2**64 - 2
+    seed = SeedSpec(0, 0)
+    for start, count in ((2**63 - 1, 1), (2**64 - 2, 1), (2**64 - 6, 5)):
+        got = uniform_stream(seed, start, count)
+        assert got.tobytes() == _ref_uniforms(_ref_key(0, 0), start, count).tobytes()
+    for start, count in ((2**64 - 2, 2), (2**64 - 1, 1), (2**64 - 5, 5), (2**64 - 2, 5)):
+        with pytest.raises(ValueError):
+            uniform_stream(seed, start, count)
+
+
 def test_get_ensemble_rejects_unknown():
     with pytest.raises(ValueError):
         get_ensemble("cauchy")

@@ -107,6 +107,22 @@ def test_only_round_half_away_rounds_to_the_lattice():
     assert found == {("_round_half_away", "trunc"), ("_round_half_away", "copysign")}
 
 
+def _writer_references(tree):
+    """(top-level definition, name) of every reference to a data-file writer."""
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id in ("write_tail_csv", "_write_data_json"):
+                yield owner, node.id
+
+
+def test_only_execute_writes_data_files():
+    # one writer: each runner returns its data and _execute writes --out
+    path = Path(lsvkit.__file__).parent / "cli.py"
+    found = set(_writer_references(ast.parse(path.read_text(encoding="utf-8"))))
+    assert found == {("_execute", "write_tail_csv"), ("_execute", "_write_data_json")}
+
+
 def _dotted(node) -> list[str]:
     if isinstance(node, ast.Name):
         return [node.id]

@@ -63,6 +63,18 @@ def test_lattice_distance_accepts_int64_extremes():
     assert rounded.tolist() == [-(2**63), 2**63 - 1024]
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_lattice_distance_rounds_exactly(sign):
+    # trunc(v + copysign(0.5, v)) rounds its sum: 2**52 + 1.5 is a tie that
+    # rounds to the even 2**52 + 2, and 0.5 - 2**-54 + 0.5 rounds up to 1.0
+    for k in (2**52 + 1, 2**53 - 1):
+        d, rounded = dist_to_lattice(np.array([sign * k]))
+        assert d == 0.0 and rounded.tolist() == [int(sign) * k]
+    h = 0.5 - 2.0**-54  # the largest double below 0.5
+    d, rounded = dist_to_lattice(np.array([sign * h]))
+    assert d == h and rounded.tolist() == [0]
+
+
 def test_lattice_distance_never_exceeds_half_sqrt_n():
     for seed in range(5):
         v = 100.0 * sample_array(GAUSSIAN, (17,), SeedSpec(seed, 0))
@@ -597,6 +609,21 @@ def test_small_ball_validation():
     assert small_ball_estimate(unit, RADEMACHER, np.inf, 10, SeedSpec(0, 0)).hits == 10
     with pytest.raises(InvalidQuery):
         small_ball_estimate(unit, RADEMACHER, 0.5, 0, SeedSpec(0, 0))
+
+
+def _no_draws(*args, **kwargs):
+    raise AssertionError("drew samples before the trial budget was checked")
+
+
+def test_small_ball_trial_budget_is_checked_before_any_draw(monkeypatch):
+    monkeypatch.setattr(structure, "sample_array", _no_draws)
+    unit = np.array([0.6, 0.8])
+    budget = structure.SMALL_BALL_TRIAL_BUDGET
+    assert budget == 2**32
+    with pytest.raises(InvalidQuery):
+        small_ball_estimate(unit, RADEMACHER, 0.5, budget + 1, SeedSpec(0, 0))
+    with pytest.raises(AssertionError, match="drew samples"):  # the budget itself is allowed
+        small_ball_estimate(unit, RADEMACHER, 0.5, budget, SeedSpec(0, 0))
 
 
 def test_high_lcd_direction_has_small_ball_mass_bounded():
