@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -97,11 +98,12 @@ class _OneBlasThread:
     """Context manager running its body with every bound OpenBLAS at one thread.
 
     map_trials threads each call BLAS, so a multi-threaded BLAS under them
-    only oversubscribes the cores.  The bundled pthreads builds keep one
-    process-wide count, so overlapping bodies share one pin: the first to
-    enter saves each library's count, the last to leave restores it.
-    Every entry still pins, which also covers builds whose count is per
-    thread.  With no library bound it does nothing.
+    only oversubscribes the cores.  map_trials enters it once per call, in
+    the calling thread, around its pool: the bundled pthreads builds keep
+    one process-wide count, so its workers run pinned too.  Calls that
+    overlap from different threads share one pin: the first to enter saves
+    each library's count and pins it, the last to leave restores it.  With
+    no library bound it does nothing.
     """
 
     def __init__(self):
@@ -111,9 +113,8 @@ class _OneBlasThread:
 
     def __enter__(self):
         with self._lock:
-            saved = tuple((set_threads, set_threads(1)) for _, set_threads in _OPENBLAS)
             if self._depth == 0:
-                self._saved = saved
+                self._saved = tuple((set_threads, set_threads(1)) for _, set_threads in _OPENBLAS)
             self._depth += 1
 
     def __exit__(self, *exc_info):
@@ -133,15 +134,15 @@ def map_trials(score, ensemble: Ensemble, n: int, trials: int, master_seed: int,
 
     Trial t first draws its matrix from stream t of master_seed;
     rejection round r uses stream r * RESAMPLE_STRIDE + t, so resampling
-    never collides with other trials' streams.  Matrices are drawn with
-    sample_matrices, max(1, BLOCK_ENTRIES // n**2) at a time, and
-    score(stack) returns one value per matrix of the stack, None to
-    reject that draw; a block's rejected trials are redrawn together as
-    a smaller block.  workers only partitions range(trials) into chunks
-    run on a thread pool, and the block size only splits chunks, so
-    neither ever changes a value.  Each chunk runs with the bundled
-    OpenBLAS copies (PINNED_BLAS) at one thread, restored afterwards;
-    where none is found the chunk runs unpinned.
+    never collides with other trials' streams.  The block is the one unit
+    of work: max(1, min(BLOCK_ENTRIES // n**2, ceil(trials / (4 * workers))))
+    trials, drawn together with sample_matrices, so a stack stays within
+    BLOCK_ENTRIES entries and each worker gets about four blocks.
+    score(stack) returns one value per matrix, None to reject that draw; a
+    block's rejected trials are redrawn together as a smaller block.  The
+    blocks run on a pool of workers threads, or in order for one worker or
+    block, and neither ever changes a value.  The call runs with the
+    bundled OpenBLAS copies (PINNED_BLAS) at one thread, restored after.
     """
     if n < 2:
         raise InvalidDimension(f"n must be >= 2, got {n}")
@@ -149,13 +150,17 @@ def map_trials(score, ensemble: Ensemble, n: int, trials: int, master_seed: int,
         raise ValueError("trials must be >= 1")
     if trials > RESAMPLE_STRIDE:
         raise ValueError("trials must not exceed 2**32 (resample stream layout)")
-    if workers > MAX_WORKERS:
-        raise ValueError(f"workers must not exceed {MAX_WORKERS}, got {workers}")
-    block = max(1, BLOCK_ENTRIES // (n * n))
+    try:
+        workers = operator.index(workers)
+    except TypeError:
+        raise ValueError(f"workers must be an integer, got {workers!r}") from None
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
+    block = max(1, min(BLOCK_ENTRIES // (n * n), math.ceil(trials / (4 * workers))))
 
-    def run_block(t0: int, t1: int):
-        values = [None] * (t1 - t0)
-        pending = list(range(t0, t1))
+    def run_block(t0: int):
+        pending = list(range(t0, min(t0 + block, trials)))
+        values = [None] * len(pending)
         rejected = 0
         for r in range(_MAX_RESAMPLE_ROUNDS):
             streams = np.array(pending, dtype=np.uint64) + np.uint64(r * RESAMPLE_STRIDE)
@@ -172,23 +177,13 @@ def map_trials(score, ensemble: Ensemble, n: int, trials: int, master_seed: int,
             pending = retry
         raise RuntimeError(f"trial {pending[0]}: {_MAX_RESAMPLE_ROUNDS} degenerate draws in a row")
 
-    def run_chunk(t0: int, t1: int):
-        values = []
-        rejected = 0
-        with _one_blas_thread:
-            for b0 in range(t0, t1, block):
-                v, r = run_block(b0, min(b0 + block, t1))
-                values += v
-                rejected += r
-        return values, rejected
-
-    if workers <= 1 or trials <= 1:
-        return run_chunk(0, trials)
-    chunk = math.ceil(trials / (workers * 4))
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        futures = [ex.submit(run_chunk, s, min(s + chunk, trials))
-                   for s in range(0, trials, chunk)]
-        parts = [f.result() for f in futures]
+    starts = range(0, trials, block)
+    with _one_blas_thread:
+        if workers == 1 or len(starts) == 1:
+            parts = list(map(run_block, starts))
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as ex:
+                parts = list(ex.map(run_block, starts))
     return [v for values, _ in parts for v in values], sum(r for _, r in parts)
 
 
@@ -369,9 +364,12 @@ def check_markov_sum_bound(distribution, n: int, epsilon: float) -> tuple[float,
         raise ValueError("n must be >= 1")
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    if len(pairs) ** n > ENUMERATION_BUDGET:
+    # 2 ** ENUMERATION_BUDGET.bit_length() exceeds the budget, so the capped
+    # power exceeds it exactly when support^n does, without forming support^n
+    states = len(pairs) ** min(n, ENUMERATION_BUDGET.bit_length())
+    if n > ENUMERATION_BUDGET or states > ENUMERATION_BUDGET:
         raise EnumerationTooLarge(
-            f"support^n = {len(pairs)}^{n} exceeds budget {ENUMERATION_BUDGET}")
+            f"support^n = {len(pairs)}^{n} states or n = {n} exceeds budget {ENUMERATION_BUDGET}")
 
     sums = np.zeros(1)
     weights = np.ones(1)

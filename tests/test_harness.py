@@ -121,7 +121,11 @@ def test_map_trials_bounds():
         map_trials(score, GAUSSIAN, 2, RESAMPLE_STRIDE + 1, 0)
     with pytest.raises(ValueError):
         map_trials(score, GAUSSIAN, 2, 10, 0, workers=MAX_WORKERS + 1)
+    for workers in (0, -3, 2.5, "2", None):
+        with pytest.raises(ValueError, match="workers"):
+            map_trials(score, GAUSSIAN, 2, 10, 0, workers=workers)
     assert calls == []  # every bound is checked before any trial runs
+    assert map_trials(score, GAUSSIAN, 2, 10, 0, workers=np.int64(2)) == ([0.0] * 10, 0)
     with pytest.raises(RuntimeError):
         map_trials(lambda stack: [None] * len(stack), GAUSSIAN, 2, 3, 0)
 
@@ -210,6 +214,21 @@ def test_map_trials_without_blas_libraries(monkeypatch, workers):
     assert seen and all(counts == before for counts in seen)  # nothing pinned
     unpinned = scaled_sn_samples(GAUSSIAN, 20, 30, 41, workers)
     assert pinned[0].tobytes() == unpinned[0].tobytes() and pinned[1] == unpinned[1]
+
+
+@pytest.mark.parametrize("n, trials, stacks", [
+    (60, 16, [2] * 8),              # witness: BLOCK_ENTRIES // 3600 = 4, 16 / (4 * 2) = 2
+    (16, 2000, [16] + [64] * 31),   # tail-small: BLOCK_ENTRIES // 256 = 64
+])
+def test_map_trials_block_partition(n, trials, stacks):
+    sizes = []
+
+    def score(stack):
+        sizes.append(len(stack))
+        return [0.0] * len(stack)
+
+    map_trials(score, GAUSSIAN, n, trials, 0, workers=2)
+    assert sorted(sizes) == stacks
 
 
 def test_pinned_workers_match_one_worker_bitwise():
@@ -418,6 +437,11 @@ def test_markov_bound_budget():
     with pytest.raises(EnumerationTooLarge):
         check_markov_sum_bound(dist, 10, 0.5)  # 4^10 > 10^6
     check_markov_sum_bound(dist, 9, 0.5)  # 4^9 fits
+    # decided without forming support^n or looping n times
+    with pytest.raises(EnumerationTooLarge):
+        check_markov_sum_bound([(0.0, 0.5), (1.0, 0.25), (2.0, 0.25)], 10**18, 0.5)
+    with pytest.raises(EnumerationTooLarge):
+        check_markov_sum_bound([(1.0, 1.0)], 10**18, 0.5)  # one state, but n steps
 
 
 def test_markov_bound_validation():

@@ -90,6 +90,25 @@ def test_only_map_trials_samples_matrices():
         "harness.py": [("map_trials", "sample_matrices")]}
 
 
+def _pool_references(tree):
+    """(top-level definition, name) of every use of the thread pool or the BLAS pin."""
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in ("ThreadPoolExecutor", "_one_blas_thread") and isinstance(
+                    getattr(node, "ctx", None), ast.Load):
+                yield owner, name
+
+
+def test_only_map_trials_runs_the_pool_and_pins_blas():
+    # one parallel path: map_trials pins BLAS once per call around its one pool
+    found = {path.name: sorted(set(_pool_references(ast.parse(path.read_text(encoding="utf-8")))))
+             for path in sorted(Path(lsvkit.__file__).parent.glob("*.py"))}
+    assert {name: refs for name, refs in found.items() if refs} == {
+        "harness.py": [("map_trials", "ThreadPoolExecutor"), ("map_trials", "_one_blas_thread")]}
+
+
 def _rounding_references(tree):
     """(top-level definition, name) of every reference to trunc or copysign."""
     for top in tree.body:
