@@ -231,9 +231,6 @@ def _run_lcd(params: dict) -> tuple[int, dict, dict]:
         vec = np.asarray(params["vector"], dtype=np.float64)
         n = vec.size
         head = {"mode": "vector", "vector": vec.tolist()}
-
-        def search(query):
-            return lcd_vector(vec, query)
     else:
         n = params["n"]
         dim = params["subspace_dim"]
@@ -246,18 +243,17 @@ def _run_lcd(params: dict) -> tuple[int, dict, dict]:
         head = {"mode": "subspace", "n": n, "subspace_dim": dim, "samples": samples,
                 "master_seed": seed}
 
-        def search(query):
-            # stream 0 builds the subspace, stream 1 drives direction sampling
-            cols = sample_array(GAUSSIAN, (n, dim), SeedSpec(seed, 0))
-            basis = orthonormalize(cols)
-            return lcd_subspace_sampled(basis, query, samples, SeedSpec(seed, 1))
-
     params["mode"] = head["mode"]
     if params["alpha"] is None:
         params["alpha"] = default_alpha(n)
     query = LcdQuery(alpha=params["alpha"], gamma=params["gamma"],
                      theta_max=params["theta_max"], grid_step=params["grid_step"])
-    res = search(query)
+    if vector_mode:
+        res = lcd_vector(vec, query)
+    else:
+        # stream 0 builds the subspace, stream 1 drives direction sampling
+        basis = orthonormalize(sample_array(GAUSSIAN, (n, dim), SeedSpec(seed, 0)))
+        res = lcd_subspace_sampled(basis, query, samples, SeedSpec(seed, 1))
     doc = {
         **head,
         "alpha": query.alpha,

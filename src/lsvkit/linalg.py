@@ -73,6 +73,8 @@ class LuFactorization:
         rhs = np.asarray(b, dtype=np.float64)
         if rhs.shape[0] != self.dim:
             raise DimensionMismatch(f"rhs has leading dim {rhs.shape[0]}, expected {self.dim}")
+        if not np.all(np.isfinite(rhs)):
+            raise ValueError("rhs entries must be finite")
         return sla.lu_solve(self._factors, rhs, check_finite=False)
 
     def inverse(self) -> np.ndarray:
@@ -143,8 +145,8 @@ def smallest_singular_values(stack) -> np.ndarray:
         except SingularMatrix:
             regular[i] = False
     out = np.zeros(mats.shape[0])
-    if regular.any():
-        out[regular] = np.linalg.svd(mats[regular], compute_uv=False)[:, -1]
+    # min is the last of LAPACK's descending values; initial= admits n == 0
+    out[regular] = np.linalg.svd(mats[regular], compute_uv=False).min(axis=1, initial=np.inf)
     return out
 
 
@@ -172,11 +174,9 @@ class OrthonormalBasis:
             )
         if v.shape[0] > self.ambient_dim:
             raise DimensionMismatch("more basis vectors than ambient dimensions")
-        if v.shape[0]:
-            gram = v @ v.T
-            defect = float(np.abs(gram - np.eye(v.shape[0])).max())
-            if defect > ORTHONORMALITY_TOL:
-                raise ValueError(f"rows are not orthonormal (defect {defect:.3e})")
+        defect = float(np.abs(v @ v.T - np.eye(v.shape[0])).max(initial=0.0))
+        if not defect <= ORTHONORMALITY_TOL:
+            raise ValueError(f"rows are not orthonormal (defect {defect:.3e})")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
@@ -244,8 +244,6 @@ def project_onto(basis: OrthonormalBasis, v) -> np.ndarray:
         raise DimensionMismatch(
             f"vector dim {w.shape[0]} != basis ambient dim {basis.ambient_dim}"
         )
-    if basis.size == 0:
-        return np.zeros_like(w)
     return basis.vectors.T @ (basis.vectors @ w)
 
 

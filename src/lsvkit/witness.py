@@ -83,11 +83,11 @@ def _norms_ab(m: np.ndarray, column: int, others: list,
               projected: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(||Y_k||, a_k, b_k); DegenerateGeometry when a ||Y_k|| or b_k is below DEGENERATE_EPS."""
     y_norms = np.linalg.norm(projected, axis=1)
-    if y_norms.size and y_norms.min() <= DEGENERATE_EPS:
+    if y_norms.min() <= DEGENERATE_EPS:
         raise DegenerateGeometry(f"projected dual norm {y_norms.min():.3e} below trust threshold")
     a_vals = np.abs(projected @ m[:, column]) / y_norms
     b_vals = leave_one_out_distances(m[:, others])
-    if b_vals.size and b_vals.min() <= DEGENERATE_EPS:
+    if b_vals.min() <= DEGENERATE_EPS:
         raise DegenerateGeometry(f"column distance {b_vals.min():.3e} below trust threshold")
     return y_norms, a_vals, b_vals
 
@@ -156,11 +156,11 @@ def audit(a, column: int = 0) -> WitnessReport:
             violations.append({"check": name, "observed": float(observed), "allowed": float(allowed)})
 
     # the distinguished dual is orthogonal to H with <X_c*, X_c> = 1, so its
-    # norm is 1/dist(X_c, H): the LU inverse against the QR projection
+    # norm is 1/dist(X_c, H) = 1/||x||: the LU inverse against the QR projection
     dual_c = duals[column]
     dual_c_norm = float(np.linalg.norm(dual_c))
-    dist_c = dist_to_subspace(m[:, column], basis)
-    check("witness_norm_equals_distance", abs(1.0 / dual_c_norm - dist_c), WITNESS_NORM_RTOL * dist_c)
+    norm_x = dist_to_subspace(m[:, column], basis)
+    check("witness_norm_equals_distance", abs(1.0 / dual_c_norm - norm_x), WITNESS_NORM_RTOL * norm_x)
 
     # the distinguished dual spans the orthogonal complement of H, so its
     # projection onto H must vanish
@@ -174,7 +174,6 @@ def audit(a, column: int = 0) -> WitnessReport:
     product_defect = float(np.abs(y_norms * b_vals - 1.0).max())
     check("dual_norm_distance_product", product_defect, NORM_DISTANCE_RTOL)
 
-    norm_x = float(np.linalg.norm(x))
     ainv_x_norm = float(np.linalg.norm(fac.solve(x)))
     ratio_sum_sq = float(np.sum((a_vals / b_vals) ** 2))
     shortfall = ratio_sum_sq - ainv_x_norm**2
@@ -246,9 +245,7 @@ def independence_probe(fixed_columns, trials: int, master_seed: int,
             continue
         if reference is None:
             reference = y
-        else:
-            dev = float(np.linalg.norm(y - reference, axis=1).max())
-            max_dev = max(max_dev, dev)
+        max_dev = max(max_dev, float(np.linalg.norm(y - reference, axis=1).max()))
     return IndependenceProbe(
         n=n,
         trials=trials,

@@ -3,6 +3,8 @@
 import ctypes
 import os
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +198,56 @@ def test_blas_pin_holds_under_thread_switching(monkeypatch):
     assert values == _per_stream(np.ndarray.tobytes, 256, 0)[0]
     assert len(seen) == 256 and all(counts == dict.fromkeys(PINNED_BLAS, 1) for counts in seen)
     assert _blas_thread_counts() == before
+
+
+@pytest.mark.skipif(not PINNED_BLAS, reason="no bundled OpenBLAS to pin")
+def test_blas_pin_spans_overlapping_and_nested_calls():
+    # A's call enters first and exits while B's call still runs; B's score
+    # then makes a nested call.  The pin must hold until the last call leaves.
+    pinned = dict.fromkeys(PINNED_BLAS, 1)
+    raised = []
+    if _blas_thread_counts() == pinned:  # one thread already: the restore would show nothing
+        raised = [(set_threads, set_threads(2)) for _, set_threads in harness._OPENBLAS]
+    try:
+        before = _blas_thread_counts()
+        assert before != pinned
+        a_entered, b_started, a_done = (threading.Event() for _ in range(3))
+        seen = []
+
+        def score_a(stack):
+            seen.append(_blas_thread_counts())
+            a_entered.set()
+            assert b_started.wait(30)
+            return _matrix_bytes(stack)
+
+        def score_b(stack):
+            b_started.set()
+            assert a_done.wait(30)
+            seen.append(_blas_thread_counts())
+            [inner], _ = map_trials(score_inner, RADEMACHER, 2, 1, 1)
+            seen.append(_blas_thread_counts())
+            return [inner] * len(stack)
+
+        def score_inner(stack):
+            seen.append(_blas_thread_counts())
+            return _matrix_bytes(stack)
+
+        def call_b():
+            assert a_entered.wait(30)
+            return map_trials(score_b, RADEMACHER, 2, 1, 0)
+
+        with ThreadPoolExecutor(max_workers=2) as ex:
+            a = ex.submit(map_trials, score_a, RADEMACHER, 2, 1, 0)
+            b = ex.submit(call_b)
+            assert a.result(timeout=60) == (_per_stream(np.ndarray.tobytes, 1, 0)[0], 0)
+            a_done.set()
+            assert b.result(timeout=60) == ([_per_stream(np.ndarray.tobytes, 1, 1)[0][0]], 0)
+        assert len(seen) == 4  # score_a, score_b twice, score_inner
+        assert all(counts == pinned for counts in seen)
+        assert _blas_thread_counts() == before
+    finally:
+        for set_threads, count in raised:
+            set_threads(count)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -198,6 +198,16 @@ def test_inverse_matches_cofactor_oracle():
     assert np.allclose(inverse(a), inverse_cofactor(a), rtol=1e-10, atol=1e-12)
 
 
+def test_lu_factorization_solve_rejects_non_finite_rhs():
+    # as lu_solve does through as_vector: a NaN or inf rhs is an error, not a NaN solution
+    fac = lu_factorization(np.eye(2))
+    for rhs in ([np.nan, 1.0], [1.0, np.inf], np.array([[1.0, -np.inf], [0.0, 1.0]])):
+        with pytest.raises(ValueError, match="finite"):
+            fac.solve(rhs)
+    with pytest.raises(ValueError, match="finite"):
+        lu_solve(np.eye(2), [np.nan, 1.0])
+
+
 def test_lu_factorization_reuse():
     a = _matrix(12)
     fac = lu_factorization(a)
@@ -234,6 +244,14 @@ def test_smallest_singular_values_of_a_stack():
         smallest_singular_values(np.eye(3))
     with pytest.raises(NonSquare):
         smallest_singular_values(np.ones((2, 2, 3)))
+
+
+def test_smallest_singular_values_of_empty_stacks():
+    # no matrices gives no values; an n = 0 matrix has no nonzero column, so 0.0
+    assert smallest_singular_values(np.zeros((0, 3, 3))).shape == (0,)
+    assert smallest_singular_values(np.zeros((0, 0, 0))).shape == (0,)
+    assert smallest_singular_values(np.zeros((2, 0, 0))).tolist() == [0.0, 0.0]
+    assert smallest_singular_value(np.zeros((0, 0))) == 0.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 16])
@@ -364,6 +382,13 @@ def test_basis_type_rejects_non_orthonormal_rows():
         OrthonormalBasis(ambient_dim=3, vectors=np.array([[1.0, 1.0, 0.0]]))
 
 
+def test_basis_type_rejects_non_finite_rows():
+    for row in ([np.nan, 0.0], [np.inf, 0.0], [1.0, -np.inf]):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            OrthonormalBasis(ambient_dim=2, vectors=np.array([row]))
+    assert OrthonormalBasis(ambient_dim=2, vectors=np.empty((0, 2))).size == 0
+
+
 def test_project_dimension_mismatch():
     basis = orthonormalize(np.eye(3)[:, :2])
     with pytest.raises(DimensionMismatch):
@@ -414,6 +439,15 @@ def test_dual_basis_identity_matrix_is_self_dual():
 def test_dual_basis_rejects_singular():
     with pytest.raises(SingularMatrix):
         dual_basis(np.zeros((3, 3)))
+
+
+def test_dual_basis_rejects_untrusted_biorthogonality():
+    # the 9x9 Hilbert matrix passes the pivot test, but its computed inverse
+    # misses <X_j*, X_k> = delta_jk by far more than BIORTHOGONALITY_TOL
+    h = sla.hilbert(9)
+    assert not _is_singular(h)
+    with pytest.raises(SingularMatrix, match="biorthogonality defect .* exceeds 1.0e-08"):
+        dual_basis(h)
 
 
 def test_biorthogonal_type_shape_validation():

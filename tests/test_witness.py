@@ -161,6 +161,23 @@ def test_degenerate_geometry_detected():
         audit(a, 0)
 
 
+def test_degenerate_projected_dual_detected():
+    # passes the pivot test, but the dual row of the huge column 1 has norm
+    # 5e-13, so its projection Y_1 falls below the trust threshold
+    a = np.diag([1.0, 2e12, 1.0])
+    with pytest.raises(DegenerateGeometry, match="projected dual norm 5.000e-13"):
+        compute_ab(a, 0)
+    with pytest.raises(DegenerateGeometry, match="projected dual norm"):
+        audit(a, 0)
+
+
+@pytest.mark.parametrize("n, column", [(2, 1), (7, 0), (20, 5)])
+def test_report_norm_x_is_the_witness_norm(n, column):
+    rep = audit(sample_matrix(GAUSSIAN, n, SeedSpec(106, 0)), column)
+    assert rep.norm_x == float(np.linalg.norm(rep.witness))  # bitwise
+    assert rep.implied_bound == rep.norm_x / rep.ainv_x_norm
+
+
 def test_report_serialization_roundtrip():
     import json
     rep = audit(sample_matrix(GAUSSIAN, 6, SeedSpec(105, 0)), 1)
@@ -204,6 +221,12 @@ def test_probe_counts_singular_draws():
     assert probe.completed + probe.singular_skipped == 40
     assert probe.completed > 0
     assert probe.max_deviation <= 1e-9
+
+
+def test_probe_single_trial_has_zero_deviation():
+    fixed = sample_array(GAUSSIAN, (5, 4), SeedSpec(204, 0))
+    probe = independence_probe(fixed, trials=1, master_seed=0)
+    assert probe.completed == 1 and probe.max_deviation == 0.0
 
 
 def test_probe_validation():
