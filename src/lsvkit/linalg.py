@@ -8,7 +8,9 @@ Singularity policy: a square matrix is treated as singular exactly when
 LU with partial pivoting produces a pivot smaller than
 ``PIVOT_RTOL * max_j ||column_j||_2`` (or when it has a zero column).
 All routines that need invertibility apply this one test, through the
-one LAPACK ``getrf`` call in ``_pivoted_lu``.
+one LAPACK ``getrf`` call in ``_pivoted_lu``, which tests a whole stack
+at once; the leave-one-out kernel likewise works each group of column
+deletions as one stack, with no Python loop per deletion.
 """
 
 from __future__ import annotations
@@ -71,8 +73,8 @@ class LuFactorization:
 
     def solve(self, b) -> np.ndarray:
         rhs = np.asarray(b, dtype=np.float64)
-        if rhs.shape[0] != self.dim:
-            raise DimensionMismatch(f"rhs has leading dim {rhs.shape[0]}, expected {self.dim}")
+        if rhs.shape[:1] != (self.dim,):
+            raise DimensionMismatch(f"rhs has shape {rhs.shape}, expected leading dim {self.dim}")
         if not np.all(np.isfinite(rhs)):
             raise ValueError("rhs entries must be finite")
         return sla.lu_solve(self._factors, rhs, check_finite=False)
@@ -81,26 +83,32 @@ class LuFactorization:
         return self.solve(np.eye(self.dim))
 
 
-def _pivoted_lu(m: np.ndarray, scale: float) -> tuple:
-    """(lu, piv) of a validated square matrix, or SingularMatrix per the pivot rule.
-
-    ``scale`` is the largest column norm; 0.0 means no nonzero column.
-    An exact zero pivot (getrf's info > 0) falls under the same rule.
-    """
-    if scale == 0.0:
-        raise SingularMatrix("matrix has no nonzero column")
-    lu, piv, info = _getrf(m)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of getrf")
-    pivot = np.abs(lu.diagonal()).min()
-    if pivot < PIVOT_RTOL * scale:
-        raise SingularMatrix(f"pivot {pivot:.3e} below threshold {PIVOT_RTOL * scale:.3e}")
-    return lu, piv
-
-
 def _column_scales(mats: np.ndarray) -> np.ndarray:
     """Largest column norm of each matrix in a (..., n, n) array; 0.0 when n == 0."""
     return np.linalg.norm(mats, axis=-2).max(axis=-1, initial=0.0)
+
+
+def _pivoted_lu(mats: np.ndarray) -> tuple:
+    """getrf's LU of every matrix in a validated (b, n, n) stack, and the pivot rule.
+
+    Returns (lu, piv, singular, pivot, threshold): mats[i] has factors
+    (lu[i].T, piv[i]), smallest |U_jj| pivot[i] and PIVOT_RTOL times its
+    largest column norm threshold[i], and fails the rule where singular[i].
+    A matrix with no nonzero column is not factored, and an exact zero
+    pivot (getrf's info > 0) falls under the rule.  getrf works in place in
+    a private transposed copy, never in the caller's array.
+    """
+    scales = _column_scales(mats)
+    work = mats.transpose(0, 2, 1).copy()
+    piv = np.zeros(mats.shape[:2], dtype=np.int32)
+    for i in np.flatnonzero(scales).tolist():
+        _, piv[i], info = _getrf(work[i].T, overwrite_a=1)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of getrf")
+    pivot = np.abs(work.diagonal(axis1=1, axis2=2)).min(axis=1, initial=np.inf)
+    threshold = PIVOT_RTOL * scales
+    singular = (scales == 0.0) | (pivot < threshold)
+    return work, piv, singular, pivot, threshold
 
 
 def lu_factorization(a) -> LuFactorization:
@@ -109,7 +117,12 @@ def lu_factorization(a) -> LuFactorization:
     Every routine here that needs invertibility goes through this one.
     """
     m = as_square(a)
-    return LuFactorization(dim=m.shape[0], _factors=_pivoted_lu(m, float(_column_scales(m))))
+    lu, piv, singular, pivot, threshold = _pivoted_lu(m[None])
+    if singular[0]:
+        # no pivot is below 0.0, so a threshold of 0.0 fails only for lack of a nonzero column
+        raise SingularMatrix("matrix has no nonzero column" if threshold[0] == 0.0 else
+                             f"pivot {pivot[0]:.3e} below threshold {threshold[0]:.3e}")
+    return LuFactorization(dim=m.shape[0], _factors=(lu[0].T, piv[0]))
 
 
 def lu_solve(a, b) -> np.ndarray:
@@ -128,8 +141,8 @@ def inverse(a) -> np.ndarray:
 def smallest_singular_values(stack) -> np.ndarray:
     """s_n of every matrix in a (b, n, n) stack; 0.0 where the pivot test flags it singular.
 
-    The stack is validated once, every matrix is pivot-tested by
-    _pivoted_lu, and the survivors share one stacked SVD.
+    The stack is validated once, pivot-tested as a whole by _pivoted_lu,
+    and the survivors share one stacked SVD.
     """
     mats = np.asarray(stack, dtype=np.float64)
     if mats.ndim != 3:
@@ -138,12 +151,7 @@ def smallest_singular_values(stack) -> np.ndarray:
         raise NonSquare(f"expected square matrices, got a stack of shape {mats.shape}")
     if not np.all(np.isfinite(mats)):
         raise ValueError("matrix entries must be finite")
-    regular = np.ones(mats.shape[0], dtype=bool)
-    for i, scale in enumerate(_column_scales(mats).tolist()):
-        try:
-            _pivoted_lu(mats[i], scale)
-        except SingularMatrix:
-            regular[i] = False
+    regular = ~_pivoted_lu(mats)[2]
     out = np.zeros(mats.shape[0])
     # min is the last of LAPACK's descending values; initial= admits n == 0
     out[regular] = np.linalg.svd(mats[regular], compute_uv=False).min(axis=1, initial=np.inf)
@@ -200,14 +208,16 @@ def _orthonormal_rows(stack: np.ndarray, norms: np.ndarray) -> np.ndarray:
     gram = rows @ rows.transpose(0, 2, 1)
     gram -= np.eye(gram.shape[-1])
     defects = np.abs(gram, out=gram).max(axis=(1, 2), initial=0.0)
-    for col_norms, d, defect in zip(norms, diag, defects.tolist()):
-        if np.any(col_norms == 0.0):
-            raise NumericallyDependent(int(np.argmin(col_norms)), "zero input vector")
-        bad = np.abs(d) < DEPENDENCE_RTOL * col_norms
-        if np.any(bad):
-            raise NumericallyDependent(int(np.argmax(bad)))
-        if defect > ORTHONORMALITY_TOL:
-            raise ValueError(f"rows are not orthonormal (defect {defect:.3e})")
+    zero = (norms == 0.0).any(axis=1)
+    dependent = np.abs(diag) < DEPENDENCE_RTOL * norms
+    failing = zero | dependent.any(axis=1) | (defects > ORTHONORMALITY_TOL)
+    if failing.any():
+        i = int(np.argmax(failing))
+        if zero[i]:
+            raise NumericallyDependent(int(np.argmin(norms[i])), "zero input vector")
+        if dependent[i].any():
+            raise NumericallyDependent(int(np.argmax(dependent[i])))
+        raise ValueError(f"rows are not orthonormal (defect {defects[i]:.3e})")
     return rows
 
 
@@ -258,8 +268,8 @@ def leave_one_out_distances(cols) -> np.ndarray:
     The span of no columns is {0}, so a single column's distance is its norm.
     The column-deleted matrices are orthonormalized by stacked QRs of at
     most LOO_QR_ENTRIES entries, raising what orthonormalize would for the
-    first failing column; each distance is then projected on its own, as
-    dist_to_subspace does.
+    first failing column, and each group's distances are projected by
+    stacked matmuls with the bits dist_to_subspace gives.
     """
     m = as_matrix(cols)
     n, k = m.shape
@@ -269,15 +279,17 @@ def leave_one_out_distances(cols) -> np.ndarray:
     if k - 1 > n:
         raise DimensionMismatch(f"{k - 1} vectors cannot be independent in dimension {n}")
     norms = np.linalg.norm(m, axis=0)
-    others = np.array([[c for c in range(k) if c != j] for j in range(k)])
+    # row j lists every column but j
+    others = np.arange(1, k) - np.tri(k, k - 1, -1, dtype=np.intp)
     group = max(1, LOO_QR_ENTRIES // (n * (k - 1)))
     out = np.empty(k)
     for g0 in range(0, k, group):
         idx = others[g0:g0 + group]
         rows = _orthonormal_rows(m[:, idx].transpose(1, 0, 2), norms[idx])
-        for j, v in enumerate(rows, start=g0):
-            w = m[:, j]
-            out[j] = np.linalg.norm(w - v.T @ (v @ w))
+        w = m[:, g0:g0 + group].T[:, :, None]
+        r = w - rows.transpose(0, 2, 1) @ (rows @ w)
+        # per-item dots: norm(axis=...) sums pairwise and would change the bits
+        out[g0:g0 + group] = np.sqrt(r.transpose(0, 2, 1) @ r)[:, 0, 0]
     return out
 
 

@@ -154,6 +154,20 @@ def test_leave_one_out_raises_orthonormality_defect_as_per_column_route(monkeypa
     assert _outcome(leave_one_out_distances, a) == expected
 
 
+def test_leave_one_out_makes_one_qr_per_group(monkeypatch):
+    # 59 deletions of 60 x 58 entries each go in groups of 9: ceil(59 / 9) = 7 stacked QRs
+    shapes = []
+    qr = np.linalg.qr
+
+    def counted_qr(a, mode="reduced"):
+        shapes.append(a.shape)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    leave_one_out_distances(_matrix(34, n=60)[:, 1:])
+    assert shapes == [(9, 60, 58)] * 6 + [(5, 60, 58)]
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_lu_solve_matches_cofactor_oracle(seed):
     a = _matrix(seed)
@@ -206,6 +220,14 @@ def test_lu_factorization_solve_rejects_non_finite_rhs():
             fac.solve(rhs)
     with pytest.raises(ValueError, match="finite"):
         lu_solve(np.eye(2), [np.nan, 1.0])
+
+
+def test_lu_factorization_solve_rejects_scalar_rhs():
+    # a 0-d rhs has no leading dim to compare, so it is a shape error too
+    fac = lu_factorization(np.eye(2))
+    for rhs in (1.0, np.float64(2.0), [1.0, 2.0, 3.0]):
+        with pytest.raises(DimensionMismatch):
+            fac.solve(rhs)
 
 
 def test_lu_factorization_reuse():
@@ -267,6 +289,45 @@ def test_stack_pivot_test_matches_per_matrix_route(n):
         lu, piv = lu_factorization(m)._factors
         ref_lu, ref_piv = sla.lu_factor(m)
         assert lu.tobytes() == ref_lu.tobytes() and piv.tobytes() == ref_piv.tobytes()
+
+
+def test_stacked_pivot_rule_at_its_edge():
+    # a row-permuted diag(s, s, p) has LU pivots s, s, p and largest column norm s,
+    # so p just below, at and just above PIVOT_RTOL * s straddles the rule
+    s = 3.0
+    threshold = linalg.PIVOT_RTOL * s
+    edge = [np.nextafter(threshold, 0.0), threshold, np.nextafter(threshold, 1.0)]
+    mats = [np.diag([s, s, p])[[2, 0, 1]] for p in edge]
+    mats += [np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]),  # exact zero pivot
+             np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 1.0], [0.0, 0.0, 5.0]])]  # zero column
+    mats += list(sample_matrices(GAUSSIAN, 3, 4, np.arange(4, dtype=np.uint64)))
+    stack = np.stack(mats)
+    values = smallest_singular_values(stack)
+    singular = [_is_singular(m) for m in stack]
+    assert singular == [True, False, False, True, True] + [False] * 4
+    assert (values == 0.0).tolist() == singular
+    assert [v for v, flag in zip(values.tolist(), singular) if not flag] == [
+        smallest_singular_value(m) for m, flag in zip(stack, singular) if not flag]
+
+
+def _every_layout(a):
+    """Copies of a in C and Fortran order, its columns permuted, and a transposed view."""
+    yield a.copy()
+    yield np.asfortranarray(a)
+    yield a[..., np.roll(np.arange(a.shape[-1]), 1)]
+    yield a.copy().swapaxes(-1, -2)
+
+
+def test_no_routine_writes_into_its_input():
+    # the stacked LU factors a private copy; a transposed-stack view must not alias it
+    stack = sample_matrices(GAUSSIAN, 5, 4, np.arange(4, dtype=np.uint64))
+    calls = [(smallest_singular_values, stack)] + [
+        (f, stack[1]) for f in (smallest_singular_value, lu_factorization, leave_one_out_distances)]
+    for f, a in calls:
+        for arg in _every_layout(a):
+            before = arg.tobytes()
+            f(arg)
+            assert arg.tobytes() == before, (f.__name__, arg.flags)
 
 
 def test_pivot_test_raises_instead_of_warning():

@@ -45,6 +45,13 @@ def test_only_linalg_factors_lu():
     assert {name: refs for name, refs in found.items() if refs} == {}
 
 
+def test_one_linalg_function_factors_lu():
+    # the module binds getrf once, and only the stacked pivot test calls it
+    tree = ast.parse((Path(lsvkit.__file__).parent / "linalg.py").read_text(encoding="utf-8"))
+    owners = {getattr(top, "name", "<module>") for top in tree.body if any(_lu_references(top))}
+    assert owners == {"<module>", "_pivoted_lu"}
+
+
 def _blas_thread_references(tree):
     """ctypes imports and names of OpenBLAS's thread-count setter."""
     for node in ast.walk(tree):
