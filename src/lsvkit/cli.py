@@ -22,6 +22,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -256,10 +257,7 @@ def _run_lcd(params: dict) -> tuple[int, dict, dict]:
         res = lcd_subspace_sampled(basis, query, samples, SeedSpec(seed, 1))
     doc = {
         **head,
-        "alpha": query.alpha,
-        "gamma": query.gamma,
-        "theta_max": query.theta_max,
-        "grid_step": query.grid_step,
+        **asdict(query),
         "unbounded": res.unbounded,
         "theta_star": res.theta_star,
         "achieved_dist": res.achieved_dist,

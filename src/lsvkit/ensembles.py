@@ -43,6 +43,7 @@ Frozen generation scheme (changing any constant is a breaking change):
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +74,8 @@ def _mix(z: np.ndarray) -> np.ndarray:
 class SeedSpec:
     """Addresses one reproducible random stream.
 
-    Both fields must lie in [0, 2**64).  Trials, resampling rounds and
+    Both fields must be integers in [0, 2**64), kept as Python ints (a
+    numpy integer is converted).  Trials, resampling rounds and
     internal sub-experiments are separated by stream_index, never by
     consuming extra draws, so per-trial data is independent of execution
     order.
@@ -83,16 +85,22 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self):
-        _check_u64("master_seed", self.master_seed)
-        _check_u64("stream_index", self.stream_index)
+        for name in ("master_seed", "stream_index"):
+            object.__setattr__(self, name, _check_u64(name, getattr(self, name)))
 
     def key(self) -> int:
         return int(stream_keys(self.master_seed, [self.stream_index])[0])
 
 
-def _check_u64(name: str, v) -> None:
-    if not isinstance(v, int) or not 0 <= v < 1 << 64:
+def _check_u64(name: str, v) -> int:
+    """v as a Python int (operator.index, so numpy integers pass and floats do not)."""
+    try:
+        i = operator.index(v)
+    except TypeError:
+        i = None
+    if i is None or not 0 <= i < 1 << 64:
         raise ValueError(f"{name} must be an integer in [0, 2**64), got {v!r}")
+    return i
 
 
 def stream_keys(master_seed: int, streams) -> np.ndarray:
@@ -101,7 +109,7 @@ def stream_keys(master_seed: int, streams) -> np.ndarray:
     streams holds stream indices in [0, 2**64); the sums with G and 2*G
     wrap mod 2**64 like every other step of the scheme.
     """
-    _check_u64("master_seed", master_seed)
+    master_seed = _check_u64("master_seed", master_seed)
     try:
         s = np.asarray(streams, dtype=np.uint64)
     except OverflowError:  # numpy's error for a Python int outside uint64

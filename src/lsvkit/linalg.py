@@ -299,7 +299,8 @@ class BiorthogonalSystem:
 
     Defining property: <X_j*, X_k> = delta_jk.  Consequence used all
     over the witness module: ||X_k*|| * dist(X_k, span of the other
-    primal vectors) == 1.
+    primal vectors) == 1.  Both arrays are copied and frozen read-only at
+    construction; the caller's inputs stay as they were.
     """
 
     ambient_dim: int
@@ -308,7 +309,7 @@ class BiorthogonalSystem:
 
     def __post_init__(self):
         for name in ("primal", "dual"):
-            m = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            m = np.array(getattr(self, name), dtype=np.float64, order="C")
             if m.shape != (self.ambient_dim, self.ambient_dim):
                 raise DimensionMismatch(f"{name} must be square of dim {self.ambient_dim}")
             m.setflags(write=False)
@@ -337,4 +338,4 @@ def dual_basis(a) -> BiorthogonalSystem:
         raise SingularMatrix(
             f"biorthogonality defect {gram_defect:.3e} exceeds {BIORTHOGONALITY_TOL:.1e}"
         )
-    return BiorthogonalSystem(ambient_dim=m.shape[0], primal=m.T.copy(), dual=inv)
+    return BiorthogonalSystem(ambient_dim=m.shape[0], primal=m.T, dual=inv)

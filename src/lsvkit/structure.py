@@ -126,16 +126,16 @@ class LcdQuery:
 
 @dataclass(frozen=True)
 class LcdResult:
-    """theta_star None means no admissible theta <= theta_max (lcd > theta_max).
+    """The defaults are the unbounded result: theta_star None, lcd > theta_max.
 
     grid_points_evaluated counts the grid points whose lattice distance
     the scan computed (summed over directions for a sampled subspace).
     """
 
-    theta_star: float | None
-    achieved_dist: float | None
-    certificate: np.ndarray | None
-    slack: float
+    theta_star: float | None = None
+    achieved_dist: float | None = None
+    certificate: np.ndarray | None = None
+    slack: float = 0.0
     n_samples: int | None = None
     direction: np.ndarray | None = None
     grid_points_evaluated: int = 0
@@ -269,8 +269,7 @@ def lcd_vector(a, q: LcdQuery) -> LcdResult:
     if hit is None and n_pts * step < q.theta_max and admissible(q.theta_max):
         hit = float(q.theta_max)  # the ragged end of the interval
     if hit is None:
-        return LcdResult(theta_star=None, achieved_dist=None, certificate=None, slack=0.0,
-                         grid_points_evaluated=evaluated)
+        return LcdResult(grid_points_evaluated=evaluated)
 
     lo = max(hit - step, 0.0)  # theta -> 0 is never admissible since gamma < 1
     hi = hit
@@ -305,18 +304,14 @@ def lcd_subspace_sampled(basis: OrthonormalBasis, q: LcdQuery, samples: int,
     norms = np.linalg.norm(dirs, axis=1)
     dirs /= norms[:, None]
 
-    best: tuple[LcdResult, np.ndarray] | None = None
+    best, best_direction = LcdResult(), None
     evaluated = 0
     for direction in dirs:
         res = lcd_vector(direction, q)
         evaluated += res.grid_points_evaluated
-        if not res.unbounded and (best is None or res.theta_star < best[0].theta_star):
-            best = res, direction
-    if best is None:
-        return LcdResult(theta_star=None, achieved_dist=None, certificate=None,
-                         slack=0.0, n_samples=samples, grid_points_evaluated=evaluated)
-    res, direction = best
-    return replace(res, n_samples=samples, direction=direction.copy(),
+        if not res.unbounded and (best.unbounded or res.theta_star < best.theta_star):
+            best, best_direction = res, direction.copy()
+    return replace(best, n_samples=samples, direction=best_direction,
                    grid_points_evaluated=evaluated)
 
 

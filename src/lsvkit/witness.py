@@ -21,7 +21,7 @@ log rare numerical trouble without dying mid-run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -124,20 +124,12 @@ class WitnessReport:
         return not self.violations
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "column": self.column,
-            "norm_x": self.norm_x,
-            "ainv_x_norm": self.ainv_x_norm,
-            "implied_bound": self.implied_bound,
-            "s_n": self.s_n,
-            "ratio_sum_sq": self.ratio_sum_sq,
-            "a_values": [float(v) for v in self.a_values],
-            "b_values": [float(v) for v in self.b_values],
-            "witness": [float(v) for v in self.witness],
-            "ok": self.ok,
-            "violations": list(self.violations),
-        }
+        """The fields in declaration order, arrays as lists, with "ok" just before "violations"."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in ("a_values", "b_values", "witness"):
+            doc[name] = [float(v) for v in doc[name]]
+        violations = list(doc.pop("violations"))
+        return {**doc, "ok": self.ok, "violations": violations}
 
 
 def audit(a, column: int = 0) -> WitnessReport:

@@ -1,6 +1,7 @@
 """End-to-end CLI runs in subprocesses: outputs, manifests, replay, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import shlex
@@ -108,6 +109,26 @@ def test_replay_reproduces_every_command(tmp_path, argv):
     r = run_cli("--replay", tmp_path / "data.json.manifest.json")
     assert r.returncode == 0, r.stderr
     assert out.read_bytes() == original
+
+
+# golden digests: key order, float rendering and every value of each JSON
+# data file are frozen, so these files must never change for fixed flags
+@pytest.mark.parametrize("argv, sha256", [
+    ("witness --ensemble rademacher --n 6 --trials 3 --seed 0",
+     "354888752c1e1f3b15a71ee6a06c3917c6b053322ad70c03b3c018d79bc1cff9"),
+    ("lcd --vector 1,0 --gamma 0.5",
+     "18aba7c901c8f7449790fdcc5c8865956b729d7daf2c312a1e6a46e55ae92771"),
+    ("lcd --subspace-dim 3 --n 6 --gamma 0.01 --alpha 0.01 --theta-max 5 --samples 4 --seed 3",
+     "b63c4de6cd3d6516b9f57662b929a3f30029022ede356a4d4cb52bae265b1096"),
+    ("lcd --subspace-dim 2 --n 4 --samples 3 --seed 9 --grid-step 0.001 --theta-max 50",
+     "4c88e378544528dfdbf60247f1eb2f194714db6252f408eab4a487317b15090a"),
+    ("smallball --weights 1,1 --ensemble rademacher --epsilon 0.5 --trials 1000 --seed 10",
+     "d7f85ef2b3d610026d05d081059434a845e93e3853f23e35980e4f91bec0cc4a"),
+], ids=["witness", "lcd-vector", "lcd-subspace-unbounded", "lcd-subspace-bounded", "smallball"])
+def test_json_bytes_are_pinned(tmp_path, argv, sha256):
+    out = tmp_path / "data.json"
+    assert cli.main([*argv.split(), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 # ---- witness ---------------------------------------------------------------

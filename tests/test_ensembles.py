@@ -21,6 +21,7 @@ from lsvkit.ensembles import (
     uniform_stream,
 )
 from lsvkit.errors import InvalidDimension
+from lsvkit.harness import scaled_sn_samples
 
 # Regression pins for the frozen generation scheme.  If any of these move,
 # every archived seed in every manifest silently means something else, so
@@ -170,6 +171,26 @@ def test_seedspec_validation():
         SeedSpec(0, 1 << 64)
     with pytest.raises(ValueError):
         SeedSpec(0.5, 0)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint64, np.int32, np.uint8])
+def test_numpy_integer_seeds_draw_like_python_ints(kind):
+    spec = SeedSpec(kind(3), kind(2))
+    assert spec == SeedSpec(3, 2)
+    assert type(spec.master_seed) is int and type(spec.stream_index) is int
+    assert stream_keys(kind(3), [0, 2]).tobytes() == stream_keys(3, [0, 2]).tobytes()
+    assert (sample_matrices(GAUSSIAN, 3, kind(3), [0, 2]).tobytes()
+            == sample_matrices(GAUSSIAN, 3, 3, [0, 2]).tobytes())
+    assert (scaled_sn_samples(GAUSSIAN, 4, 3, kind(3))[0].tobytes()
+            == scaled_sn_samples(GAUSSIAN, 4, 3, 3)[0].tobytes())
+
+
+@pytest.mark.parametrize("seed", [3.0, np.float64(3.0), "3", -1, np.int64(-1), 1 << 64, None])
+def test_non_integer_or_out_of_range_seeds_raise_value_error(seed):
+    with pytest.raises(ValueError):
+        SeedSpec(seed)
+    with pytest.raises(ValueError):
+        stream_keys(seed, [0])
 
 
 @pytest.mark.parametrize("call", [

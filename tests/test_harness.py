@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from scipy.stats import binomtest
 
 from oracles import first_accepted_draw, half_normal_cdf, ks_statistic
 
@@ -36,6 +37,7 @@ from lsvkit.harness import (
 )
 from lsvkit.errors import NumericallyDependent
 from lsvkit.linalg import dist_to_subspace, orthonormalize, smallest_singular_value
+from lsvkit.stats import wilson_interval
 from lsvkit.witness import audit
 
 
@@ -356,6 +358,26 @@ def test_sweep_config_validation():
 
 def test_sweep_worker_count_leaves_estimates_identical():
     assert _sweep("upper", [0.5, 1.5], workers=1) == _sweep("upper", [0.5, 1.5], workers=4)
+
+
+# ---- wilson_interval --------------------------------------------------------
+
+@pytest.mark.parametrize("trials", [1, 2, 7, 50, 1000, 100000])
+def test_wilson_interval_matches_scipy(trials):
+    for hits in sorted({0, 1, trials // 3, trials // 2, trials - 1, trials}):
+        ci = binomtest(hits, trials).proportion_ci(confidence_level=0.95, method="wilson")
+        lo, hi = wilson_interval(hits, trials)
+        assert lo == pytest.approx(ci.low, rel=0, abs=1e-14), hits
+        assert hi == pytest.approx(ci.high, rel=0, abs=1e-14), hits
+
+
+def test_wilson_interval_edges_and_rejections():
+    for trials in (1, 3, 1000):
+        assert wilson_interval(0, trials)[0] == 0.0
+        assert wilson_interval(trials, trials)[1] == 1.0
+    for hits, trials in ((0, 0), (0, -1), (-1, 5), (6, 5)):
+        with pytest.raises(ValueError):
+            wilson_interval(hits, trials)
 
 
 # ---- CSV schema -------------------------------------------------------------

@@ -514,3 +514,14 @@ def test_dual_basis_rejects_untrusted_biorthogonality():
 def test_biorthogonal_type_shape_validation():
     with pytest.raises(DimensionMismatch):
         BiorthogonalSystem(ambient_dim=3, primal=np.eye(3), dual=np.eye(2))
+
+
+def test_biorthogonal_system_copies_its_inputs():
+    # a C-contiguous float64 input must not be shared and frozen in place
+    primal, dual = np.eye(3), np.eye(3)
+    system = BiorthogonalSystem(ambient_dim=3, primal=primal, dual=dual)
+    for given, kept in ((primal, system.primal), (dual, system.dual)):
+        assert given.flags.writeable and not kept.flags.writeable
+        assert not np.shares_memory(given, kept)
+        given[0, 0] = 5.0
+        assert kept[0, 0] == 1.0
