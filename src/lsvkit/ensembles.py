@@ -43,13 +43,13 @@ Frozen generation scheme (changing any constant is a breaking change):
 
 from __future__ import annotations
 
-import operator
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import InvalidDimension
+from .errors import InvalidDimension, as_int
 
 _G = np.uint64(0x9E3779B97F4A7C15)
 _G2 = np.uint64(0x3C6EF372FE94F82A)  # 2*G mod 2**64
@@ -74,11 +74,9 @@ def _mix(z: np.ndarray) -> np.ndarray:
 class SeedSpec:
     """Addresses one reproducible random stream.
 
-    Both fields must be integers in [0, 2**64), kept as Python ints (a
-    numpy integer is converted).  Trials, resampling rounds and
-    internal sub-experiments are separated by stream_index, never by
-    consuming extra draws, so per-trial data is independent of execution
-    order.
+    Both fields lie in [0, 2**64).  Trials, resampling rounds and internal
+    sub-experiments are separated by stream_index, never by consuming
+    extra draws, so per-trial data is independent of execution order.
     """
 
     master_seed: int
@@ -86,21 +84,10 @@ class SeedSpec:
 
     def __post_init__(self):
         for name in ("master_seed", "stream_index"):
-            object.__setattr__(self, name, _check_u64(name, getattr(self, name)))
+            object.__setattr__(self, name, as_int(name, getattr(self, name), 0, 2**64 - 1))
 
     def key(self) -> int:
         return int(stream_keys(self.master_seed, [self.stream_index])[0])
-
-
-def _check_u64(name: str, v) -> int:
-    """v as a Python int (operator.index, so numpy integers pass and floats do not)."""
-    try:
-        i = operator.index(v)
-    except TypeError:
-        i = None
-    if i is None or not 0 <= i < 1 << 64:
-        raise ValueError(f"{name} must be an integer in [0, 2**64), got {v!r}")
-    return i
 
 
 def stream_keys(master_seed: int, streams) -> np.ndarray:
@@ -109,13 +96,14 @@ def stream_keys(master_seed: int, streams) -> np.ndarray:
     streams holds stream indices in [0, 2**64); the sums with G and 2*G
     wrap mod 2**64 like every other step of the scheme.
     """
-    master_seed = _check_u64("master_seed", master_seed)
-    try:
-        s = np.asarray(streams, dtype=np.uint64)
-    except OverflowError:  # numpy's error for a Python int outside uint64
-        raise ValueError("stream indices must be integers in [0, 2**64)") from None
+    master_seed = as_int("master_seed", master_seed, 0, 2**64 - 1)
+    if not (isinstance(streams, np.ndarray) and streams.dtype == np.uint64):
+        # as objects: np.asarray would take [0, 2**64 - 1] as float64 and 1.5 as 1
+        given = np.array(streams, dtype=object)
+        streams = np.array([as_int("stream index", s, 0, 2**64 - 1) for s in given.flat],
+                           dtype=np.uint64).reshape(given.shape)
     a = _mix(np.array([master_seed], dtype=np.uint64) + _G)
-    return _mix(a ^ _mix(s + _G2))
+    return _mix(a ^ _mix(streams + _G2))
 
 
 def _uniforms(keys: np.ndarray, start: int, count: int) -> np.ndarray:
@@ -142,10 +130,8 @@ def _uniforms(keys: np.ndarray, start: int, count: int) -> np.ndarray:
 
 def uniform_stream(seed: SeedSpec, start: int, count: int) -> np.ndarray:
     """Uniform draws in (0, 1) for counters start .. start+count-1, all below 2**64 - 1."""
-    if start < 0 or count < 0:
-        raise ValueError("start and count must be nonnegative")
-    if start + count >= 1 << 64:
-        raise ValueError(f"counters must lie below 2**64 - 1, got {start} .. {start + count - 1}")
+    start = as_int("start", start, 0, 2**64 - 1)
+    count = as_int("count", count, 0, 2**64 - 1 - start)  # the last counter is 2**64 - 2
     return _uniforms(np.uint64(seed.key()), start, count)
 
 
@@ -205,23 +191,15 @@ def sample_array(ensemble: Ensemble, shape: tuple[int, ...] | int, seed: SeedSpe
     entry_offset) yields identical values, which is what makes worker
     partitioning invisible in outputs.
     """
-    if isinstance(shape, int):
-        shape = (shape,)
-    total = 1
-    for s in shape:
-        if s < 0:
-            raise ValueError("shape entries must be nonnegative")
-        total *= s
+    shape = tuple(as_int("shape entry", s, 0) for s in np.atleast_1d(shape))
     d = ensemble.draws_per_entry
-    u = uniform_stream(seed, entry_offset * d, total * d)
+    u = uniform_stream(seed, as_int("entry_offset", entry_offset, 0) * d, math.prod(shape) * d)
     return _transform(ensemble, u).reshape(shape)
 
 
 def sample_matrix(ensemble: Ensemble, n: int, seed: SeedSpec) -> np.ndarray:
     """n x n matrix; entry (i, j) sits at counter i*n + j of the stream."""
-    if n < 2:
-        raise InvalidDimension(f"matrix dimension must be >= 2, got {n}")
-    return sample_array(ensemble, (n, n), seed)
+    return sample_matrices(ensemble, n, seed.master_seed, [seed.stream_index])[0]
 
 
 def sample_matrices(ensemble: Ensemble, n: int, master_seed: int, streams) -> np.ndarray:
@@ -230,15 +208,12 @@ def sample_matrices(ensemble: Ensemble, n: int, master_seed: int, streams) -> np
     Matrix b equals sample_matrix(ensemble, n, SeedSpec(master_seed, streams[b]))
     bit for bit.
     """
-    if n < 2:
-        raise InvalidDimension(f"matrix dimension must be >= 2, got {n}")
+    n = as_int("matrix dimension n", n, 2, error=InvalidDimension)
     keys = stream_keys(master_seed, streams)
     u = _uniforms(keys[:, None], 0, n * n * ensemble.draws_per_entry)
     return _transform(ensemble, u.ravel()).reshape(-1, n, n)
 
 
 def sample_vector(ensemble: Ensemble, n: int, seed: SeedSpec) -> np.ndarray:
-    if n < 1:
-        raise InvalidDimension(f"vector dimension must be >= 1, got {n}")
-    return sample_array(ensemble, (n,), seed)
+    return sample_array(ensemble, as_int("vector dimension n", n, 1, error=InvalidDimension), seed)
 

@@ -1,9 +1,12 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and its one integer-argument check.
 
 Every error raised on purpose by lsvkit derives from LsvError, so callers
 can catch the whole family with one clause while still distinguishing the
-specific failure modes below.
+specific failure modes below.  as_int raises whichever of them, or
+ValueError, its caller documents.
 """
+
+import operator
 
 
 class LsvError(Exception):
@@ -51,3 +54,20 @@ class EnumerationTooLarge(LsvError):
 
 class InsufficientData(LsvError):
     """Not enough distinct data points to fit the requested model."""
+
+
+def as_int(name: str, value, lo: int, hi: int | None = None, error: type = ValueError) -> int:
+    """value as a Python int in [lo, hi] (no upper bound for hi None), else error(message).
+
+    The one integer-argument check of the package.  operator.index lets
+    Python and numpy integers through and stops floats, strings and None;
+    the message names the argument and the bound.
+    """
+    bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    try:
+        i = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer {bound}, got {value!r}") from None
+    if i < lo or (hi is not None and i > hi):
+        raise error(f"{name} must be {bound}, got {i}")
+    return i

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -40,6 +39,7 @@ from .errors import (
     InsufficientData,
     InvalidDimension,
     NumericallyDependent,
+    as_int,
 )
 from .linalg import dist_to_subspace, orthonormalize, smallest_singular_values
 from .stats import wilson_interval
@@ -144,18 +144,9 @@ def map_trials(score, ensemble: Ensemble, n: int, trials: int, master_seed: int,
     block, and neither ever changes a value.  The call runs with the
     bundled OpenBLAS copies (PINNED_BLAS) at one thread, restored after.
     """
-    if n < 2:
-        raise InvalidDimension(f"n must be >= 2, got {n}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if trials > RESAMPLE_STRIDE:
-        raise ValueError("trials must not exceed 2**32 (resample stream layout)")
-    try:
-        workers = operator.index(workers)
-    except TypeError:
-        raise ValueError(f"workers must be an integer, got {workers!r}") from None
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
+    n = as_int("n", n, 2, error=InvalidDimension)
+    trials = as_int("trials", trials, 1, RESAMPLE_STRIDE)  # the resample stream layout
+    workers = as_int("workers", workers, 1, MAX_WORKERS)
     block = max(1, min(BLOCK_ENTRIES // (n * n), math.ceil(trials / (4 * workers))))
 
     def run_block(t0: int):
@@ -195,7 +186,7 @@ def scaled_sn_samples(ensemble: Ensemble, n: int, trials: int, master_seed: int,
         return [v if v > 0.0 else None for v in smallest_singular_values(stack)]
 
     values, singular = map_trials(score, ensemble, n, trials, master_seed, workers)
-    return np.array(values) * np.sqrt(n), singular
+    return np.array(values) * math.sqrt(n), singular
 
 
 @dataclass(frozen=True)
@@ -213,14 +204,13 @@ class TailSweepConfig:
             raise ValueError(f"direction must be 'upper' or 'lower', got {self.direction!r}")
         if not self.n_values or not self.k_values:
             raise ValueError("n_values and k_values must be nonempty")
-        for n in self.n_values:
-            if n < 2:
-                raise InvalidDimension(f"n must be >= 2, got {n}")
+        object.__setattr__(self, "n_values", tuple(
+            as_int("n", n, 2, error=InvalidDimension) for n in self.n_values))
         for k in self.k_values:
             if not k >= 0:  # NaN fails too; an infinite K stays accepted
                 raise ValueError(f"thresholds must be nonnegative, got {k}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        object.__setattr__(self, "trials", as_int("trials", self.trials, 1, RESAMPLE_STRIDE))
+        object.__setattr__(self, "workers", as_int("workers", self.workers, 1, MAX_WORKERS))
 
 
 @dataclass(frozen=True)
@@ -360,8 +350,7 @@ def check_markov_sum_bound(distribution, n: int, epsilon: float) -> tuple[float,
     # written so that NaN fails every test
     if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-9):
         raise ValueError("probabilities must be nonnegative and sum to 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = as_int("n", n, 1)
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     # 2 ** ENUMERATION_BUDGET.bit_length() exceeds the budget, so the capped

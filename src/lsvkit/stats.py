@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import as_int
+
 # two-sided 95% normal quantile, frozen so intervals are bit-stable
 Z95 = 1.959963984540054
 
@@ -15,10 +17,8 @@ def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     behaves sanely at hits = 0 or hits = trials, both of which occur
     routinely in tail experiments.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not 0 <= hits <= trials:
-        raise ValueError("hits must lie in [0, trials]")
+    trials = as_int("trials", trials, 1)
+    hits = as_int("hits", hits, 0, trials)
     p = hits / trials
     z2 = Z95 * Z95
     denom = 1.0 + z2 / trials

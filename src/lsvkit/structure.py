@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ensembles import GAUSSIAN, Ensemble, SeedSpec, sample_array
-from .errors import InvalidQuery
+from .errors import InvalidQuery, as_int
 from .linalg import OrthonormalBasis, as_vector
 from .stats import wilson_interval
 
@@ -256,6 +256,9 @@ def lcd_vector(a, q: LcdQuery) -> LcdResult:
     if q.theta_max / step > LCD_GRID_BUDGET:
         raise InvalidQuery(
             f"theta_max/step = {q.theta_max / step:.3e} grid points exceeds budget {LCD_GRID_BUDGET}")
+    if q.theta_max * float(np.abs(vec).max()) < 0.5:
+        # every theta*a rounds to the origin, at distance ||theta a|| > gamma*||theta a||
+        return LcdResult()
 
     n_pts = int(np.floor(q.theta_max / step))
     n = vec.shape[0]
@@ -295,8 +298,7 @@ def lcd_subspace_sampled(basis: OrthonormalBasis, q: LcdQuery, samples: int,
     theta_max, not that none exists.  More than LCD_SAMPLE_BUDGET
     directions are rejected with InvalidQuery before any is drawn.
     """
-    if not 1 <= samples <= LCD_SAMPLE_BUDGET:
-        raise InvalidQuery(f"samples must lie in [1, {LCD_SAMPLE_BUDGET}], got {samples}")
+    samples = as_int("samples", samples, 1, LCD_SAMPLE_BUDGET, InvalidQuery)
     if basis.size < 1:
         raise InvalidQuery("subspace must have dimension >= 1")
     coeffs = sample_array(GAUSSIAN, (samples, basis.size), seed)
@@ -340,8 +342,7 @@ def small_ball_estimate(weights, ensemble: Ensemble, epsilon: float, trials: int
         raise InvalidQuery("weights must have unit Euclidean norm")
     if not epsilon > 0.0:  # NaN fails too; an infinite epsilon counts every trial
         raise InvalidQuery(f"epsilon must be positive, got {epsilon}")
-    if not 1 <= trials <= SMALL_BALL_TRIAL_BUDGET:
-        raise InvalidQuery(f"trials must lie in [1, {SMALL_BALL_TRIAL_BUDGET}], got {trials}")
+    trials = as_int("trials", trials, 1, SMALL_BALL_TRIAL_BUDGET, InvalidQuery)
     n = w.shape[0]
     chunk = max(1, BLOCK_ENTRIES // (n * ensemble.draws_per_entry))
     hits = 0

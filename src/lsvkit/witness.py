@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .ensembles import GAUSSIAN, Ensemble, SeedSpec, sample_vector
-from .errors import DegenerateGeometry, DimensionMismatch, InvalidDimension, SingularMatrix
+from .errors import DegenerateGeometry, DimensionMismatch, InvalidDimension, SingularMatrix, as_int
 from .linalg import (
     OrthonormalBasis,
     as_square,
@@ -48,18 +48,17 @@ UPPER_BOUND_RTOL = 1e-8
 
 
 def _witness_parts(a, column: int):
-    """(matrix, other column indices, LU factors, basis of H, witness x) after the LU gate."""
+    """(matrix, column, other column indices, LU factors, basis of H, witness x) after the LU gate."""
     m = as_square(a)
     n = m.shape[0]
     if n < 2:
         raise InvalidDimension(f"witness construction needs n >= 2, got n = {n}")
-    if not 0 <= column < n:
-        raise DimensionMismatch(f"column {column} out of range for n = {n}")
+    column = as_int("column", column, 0, n - 1, DimensionMismatch)
     others = [k for k in range(n) if k != column]
     fac = lu_factorization(m)
     basis = orthonormalize(m[:, others])
     xc = m[:, column]
-    return m, others, fac, basis, xc - project_onto(basis, xc)
+    return m, column, others, fac, basis, xc - project_onto(basis, xc)
 
 
 def construct_witness_vector(a, column: int = 0) -> np.ndarray:
@@ -75,7 +74,7 @@ def _duals(fac, basis: OrthonormalBasis, others: list) -> tuple[np.ndarray, np.n
 
 def dual_projections(a, column: int = 0) -> np.ndarray:
     """Rows Y_k = P X_k* for k != column, in increasing k order."""
-    _, others, fac, basis, _ = _witness_parts(a, column)
+    _, _, others, fac, basis, _ = _witness_parts(a, column)
     return _duals(fac, basis, others)[1]
 
 
@@ -99,7 +98,7 @@ def compute_ab(a, column: int = 0) -> tuple[np.ndarray, np.ndarray]:
     leave-two-out column distance; 1/||Y_k|| must reproduce b_k, which
     audit() verifies at NORM_DISTANCE_RTOL.
     """
-    m, others, fac, basis, _ = _witness_parts(a, column)
+    m, column, others, fac, basis, _ = _witness_parts(a, column)
     return _norms_ab(m, column, others, _duals(fac, basis, others)[1])[1:]
 
 
@@ -138,7 +137,7 @@ def audit(a, column: int = 0) -> WitnessReport:
     Raises SingularMatrix / DegenerateGeometry on precondition failures;
     tolerance breaches go into WitnessReport.violations.
     """
-    m, others, fac, basis, x = _witness_parts(a, column)
+    m, column, others, fac, basis, x = _witness_parts(a, column)
     duals, projected = _duals(fac, basis, others)
     y_norms, a_vals, b_vals = _norms_ab(m, column, others, projected)
     violations: list[dict] = []
@@ -219,10 +218,8 @@ def independence_probe(fixed_columns, trials: int, master_seed: int,
     if cols.ndim != 2 or cols.shape[1] != cols.shape[0] - 1:
         raise DimensionMismatch(f"fixed_columns must be (n, n-1), got {cols.shape}")
     n = cols.shape[0]
-    if not 0 <= column < n:
-        raise DimensionMismatch(f"column {column} out of range for n = {n}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    column = as_int("column", column, 0, n - 1, DimensionMismatch)
+    trials = as_int("trials", trials, 1)
 
     reference = None
     max_dev = 0.0

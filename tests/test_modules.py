@@ -171,3 +171,24 @@ def test_bench_patch_targets_exist():
             targets.append((owner, node.args[1].value))
     assert targets
     assert [(owner.__name__, name) for owner, name in targets if name not in vars(owner)] == []
+
+
+def _index_references(tree):
+    """(top-level definition, reference) of every use of operator.index."""
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr == "index"
+                    and isinstance(node.value, ast.Name) and node.value.id == "operator"):
+                yield owner, "operator.index"
+            elif isinstance(node, ast.ImportFrom) and node.module == "operator":
+                yield from ((owner, f"from operator import {a.name}") for a in node.names
+                            if a.name in ("index", "*"))
+
+
+def test_only_as_int_coerces_integers():
+    # one integer-argument check: every count, index and dimension goes through errors.as_int
+    found = {path.name: sorted(set(_index_references(ast.parse(path.read_text(encoding="utf-8")))))
+             for path in sorted(Path(lsvkit.__file__).parent.glob("*.py"))}
+    assert {name: refs for name, refs in found.items() if refs} == {
+        "errors.py": [("as_int", "operator.index")]}

@@ -641,3 +641,12 @@ def test_high_lcd_direction_has_small_ball_mass_bounded():
         assert est.p_hat <= cap
         # and the Monte Carlo is consistent with exhaustive enumeration
         assert est.ci_low <= rademacher_small_ball_exact(w, eps) <= est.ci_high
+
+
+@pytest.mark.parametrize("theta_max", [1e-300, 1e-200, 0.2])
+def test_horizon_inside_the_origin_cell_is_unbounded_and_unscanned(theta_max):
+    # theta_max * max|a_i| < 1/2: every theta*a rounds to the origin, at distance
+    # ||theta a|| > gamma*||theta a||, so no theta is admissible, even where the
+    # squares of the distance underflow to 0
+    res = lcd_vector(np.array([1.0, 2.0]), LcdQuery(alpha=0.5, gamma=0.5, theta_max=theta_max))
+    assert res.unbounded and res == structure.LcdResult()
