@@ -39,7 +39,7 @@ from .harness import (
     run_tail_sweep,
     write_tail_csv,
 )
-from .linalg import orthonormalize
+from .linalg import as_vector, orthonormalize
 from .structure import (
     DEFAULT_GAMMA,
     DEFAULT_THETA_MAX,
@@ -53,10 +53,6 @@ from .witness import audit
 
 # bench/layers.py traces this per-matrix name by rebinding it here
 from .ensembles import sample_matrix  # noqa: F401
-
-
-class UsageError(Exception):
-    """Bad arguments detected after parsing; maps to exit code 2."""
 
 
 # ---- argparse value types ------------------------------------------------
@@ -169,9 +165,8 @@ def _g10(obj):
 
 
 def _write_json(path: Path, doc) -> None:
-    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n",
+                    encoding="utf-8", newline="")
 
 
 def _write_data_json(path: Path, doc) -> None:
@@ -206,7 +201,7 @@ def _run_witness(params: dict) -> tuple[int, list, dict]:
     ens = get_ensemble(params["ensemble"])
     n = params["n"]
     if not 1 <= params["column"] <= n:
-        raise UsageError(f"--column must lie in [1, {n}], got {params['column']}")
+        raise InvalidQuery(f"--column must lie in [1, {n}], got {params['column']}")
     column = params["column"] - 1
 
     def audited(m: np.ndarray):
@@ -229,16 +224,16 @@ def _run_lcd(params: dict) -> tuple[int, dict, dict]:
         del params[key]
 
     if vector_mode:
-        vec = np.asarray(params["vector"], dtype=np.float64)
+        vec = as_vector(params["vector"])
         n = vec.size
         head = {"mode": "vector", "vector": vec.tolist()}
     else:
         n = params["n"]
         dim = params["subspace_dim"]
         if n is None:
-            raise UsageError("--subspace-dim requires --n")
+            raise InvalidQuery("--subspace-dim requires --n")
         if not 1 <= dim <= n:
-            raise UsageError(f"--subspace-dim must lie in [1, {n}], got {dim}")
+            raise InvalidQuery(f"--subspace-dim must lie in [1, {n}], got {dim}")
         seed = params["seed"]
         samples = params["samples"]
         head = {"mode": "subspace", "n": n, "subspace_dim": dim, "samples": samples,
@@ -271,10 +266,10 @@ def _run_lcd(params: dict) -> tuple[int, dict, dict]:
 
 def _run_smallball(params: dict) -> tuple[int, dict, dict]:
     ens = get_ensemble(params["ensemble"])
-    raw = np.asarray(params["weights"], dtype=np.float64)
+    raw = as_vector(params["weights"])
     norm = float(np.linalg.norm(raw))
     if norm == 0.0:
-        raise UsageError("--weights must be a nonzero vector")
+        raise InvalidQuery("--weights must be a nonzero vector")
     weights = raw / norm
     seed = params["seed"]
     est = small_ball_estimate(weights, ens, params["epsilon"], params["trials"],
@@ -332,14 +327,10 @@ def _execute(command: str, params: dict) -> int:
         manifest_path = Path(str(params["out"]) + ".manifest.json")
         created.append(manifest_path)
         _write_json(manifest_path, manifest)
-    except (UsageError, InvalidQuery) as e:
-        _cleanup(created)
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (LsvError, ValueError, OSError, RuntimeError, MemoryError) as e:
         _cleanup(created)
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, InvalidQuery) else 1
     return code
 
 

@@ -103,7 +103,8 @@ def stream_keys(master_seed: int, streams) -> np.ndarray:
         streams = np.array([as_int("stream index", s, 0, 2**64 - 1) for s in given.flat],
                            dtype=np.uint64).reshape(given.shape)
     a = _mix(np.array([master_seed], dtype=np.uint64) + _G)
-    return _mix(a ^ _mix(streams + _G2))
+    # a 0-d sum would take numpy's scalar path, which warns on the wraparound
+    return _mix(a ^ _mix(np.atleast_1d(streams) + _G2))
 
 
 def _uniforms(keys: np.ndarray, start: int, count: int) -> np.ndarray:

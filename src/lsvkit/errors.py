@@ -45,7 +45,7 @@ class DegenerateGeometry(LsvError):
 
 
 class InvalidQuery(LsvError):
-    """A query object carries out-of-range parameters."""
+    """A query object or a CLI argument carries out-of-range parameters (CLI exit code 2)."""
 
 
 class EnumerationTooLarge(LsvError):

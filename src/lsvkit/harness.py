@@ -41,7 +41,7 @@ from .errors import (
     NumericallyDependent,
     as_int,
 )
-from .linalg import dist_to_subspace, orthonormalize, smallest_singular_values
+from .linalg import as_matrix, dist_to_subspace, orthonormalize, smallest_singular_values
 from .stats import wilson_interval
 
 # bench/layers.py traces these per-matrix names by rebinding them here
@@ -270,8 +270,7 @@ def write_tail_csv(estimates: list[TailEstimate], path) -> None:
             str(e.exceed_count), fmt_g10(e.p_hat), fmt_g10(e.ci_low),
             fmt_g10(e.ci_high), str(e.singular_count), str(e.master_seed),
         ]))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
 
 
 @dataclass(frozen=True)
@@ -288,8 +287,10 @@ class ScalingRow:
 def median_scaling_report(ensemble: Ensemble, n_values, trials: int, master_seed: int,
                           workers: int = 1) -> list[ScalingRow]:
     """Robust per-n statistics of sqrt(n) * s_n (median and quartiles)."""
+    n_values = {as_int("n", n, 2, error=InvalidDimension) for n in n_values}
+    trials = as_int("trials", trials, 1, RESAMPLE_STRIDE)
     rows = []
-    for n in sorted(set(n_values)):
+    for n in sorted(n_values):
         values, singular = scaled_sn_samples(ensemble, n, trials, master_seed, workers)
         q1, med, q3 = (float(q) for q in np.percentile(values, [25.0, 50.0, 75.0]))
         rows.append(ScalingRow(n=n, trials=trials, median_scaled=med,
@@ -323,6 +324,8 @@ def distance_tail_experiment(ensemble: Ensemble, n: int, trials: int, master_see
             return None
         return dist_to_subspace(m[:, 0], basis)
 
+    n = as_int("n", n, 2, error=InvalidDimension)
+    trials = as_int("trials", trials, 1, RESAMPLE_STRIDE)
     values, singular = map_trials(lambda stack: [distance(m) for m in stack],
                                   ensemble, n, trials, master_seed, workers)
     samples = np.array(values)
@@ -343,12 +346,10 @@ def check_markov_sum_bound(distribution, n: int, epsilon: float) -> tuple[float,
     pairs = list(distribution)
     if not pairs:
         raise ValueError("distribution must be nonempty")
-    vals = np.array([float(v) for v, _ in pairs])
-    probs = np.array([float(p) for _, p in pairs])
-    if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-        raise ValueError("support values must be finite and nonnegative")
-    # written so that NaN fails every test
-    if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-9):
+    vals, probs = as_matrix(pairs).T
+    if np.any(vals < 0):
+        raise ValueError("support values must be nonnegative")
+    if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
         raise ValueError("probabilities must be nonnegative and sum to 1")
     n = as_int("n", n, 1)
     if not epsilon > 0:
@@ -391,8 +392,8 @@ class TailFitReport:
 def fit_tail_model(estimates: list[TailEstimate]) -> TailFitReport:
     """Least-squares constant for the expected tail shape.
 
-    upper: p(K) ~ C log(K)/K over >= 3 distinct positive K;
-    lower: p(eps) ~ C eps over >= 2 distinct positive eps.
+    upper: p(K) ~ C log(K)/K over >= 3 distinct finite positive K;
+    lower: p(eps) ~ C eps over >= 2 distinct finite positive eps.
     The additive exponential term is dropped (unobservably small here),
     so C is the only fitted parameter.
     """
@@ -404,15 +405,15 @@ def fit_tail_model(estimates: list[TailEstimate]) -> TailFitReport:
         raise ValueError("estimates must share one direction and one n")
     direction = directions.pop()
     n = ns.pop()
-    pts = sorted({e.k for e in estimates if e.k > 0})
+    by_k = {}
+    for e in estimates:
+        if 0 < e.k < math.inf:
+            by_k.setdefault(e.k, []).append(e.p_hat)
+    pts = sorted(by_k)
     needed = 3 if direction == "upper" else 2
     if len(pts) < needed:
         raise InsufficientData(
-            f"{direction} fit needs >= {needed} distinct positive thresholds, got {len(pts)}")
-    by_k = {}
-    for e in estimates:
-        if e.k > 0:
-            by_k.setdefault(e.k, []).append(e.p_hat)
+            f"{direction} fit needs >= {needed} finite positive thresholds, got {len(pts)}")
     ks = np.array(pts)
     p = np.array([float(np.mean(by_k[k])) for k in pts])
     basis = np.log(ks) / ks if direction == "upper" else ks

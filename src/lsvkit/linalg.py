@@ -39,8 +39,16 @@ LOO_QR_ENTRIES = 1 << 15
 _getrf = sla.get_lapack_funcs("getrf", dtype=np.float64)
 
 
+def _real(a) -> np.ndarray:
+    """a as a float64 array; ValueError on complex entries, which a cast drops or chokes on."""
+    arr = np.asarray(a)
+    if arr.dtype.kind == "c" or arr.dtype == object and any(map(np.iscomplexobj, arr.flat)):
+        raise ValueError("entries must be real, got complex input")
+    return np.asarray(arr, dtype=np.float64)
+
+
 def as_vector(v) -> np.ndarray:
-    out = np.asarray(v, dtype=np.float64)
+    out = _real(v)
     if out.ndim != 1 or out.size == 0:
         raise DimensionMismatch(f"expected a nonempty 1-d vector, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
@@ -49,7 +57,7 @@ def as_vector(v) -> np.ndarray:
 
 
 def as_matrix(a) -> np.ndarray:
-    out = np.asarray(a, dtype=np.float64)
+    out = _real(a)
     if out.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d matrix, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
@@ -72,7 +80,7 @@ class LuFactorization:
     _factors: tuple
 
     def solve(self, b) -> np.ndarray:
-        rhs = np.asarray(b, dtype=np.float64)
+        rhs = _real(b)
         if rhs.shape[:1] != (self.dim,):
             raise DimensionMismatch(f"rhs has shape {rhs.shape}, expected leading dim {self.dim}")
         if not np.all(np.isfinite(rhs)):
@@ -144,7 +152,7 @@ def smallest_singular_values(stack) -> np.ndarray:
     The stack is validated once, pivot-tested as a whole by _pivoted_lu,
     and the survivors share one stacked SVD.
     """
-    mats = np.asarray(stack, dtype=np.float64)
+    mats = _real(stack)
     if mats.ndim != 3:
         raise DimensionMismatch(f"expected a (b, n, n) stack, got shape {mats.shape}")
     if mats.shape[1] != mats.shape[2]:
@@ -175,7 +183,7 @@ class OrthonormalBasis:
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=np.float64)
+        v = _real(self.vectors)
         if v.ndim != 2 or v.shape[1] != self.ambient_dim:
             raise DimensionMismatch(
                 f"vectors must have shape (k, {self.ambient_dim}), got {v.shape}"
@@ -309,7 +317,7 @@ class BiorthogonalSystem:
 
     def __post_init__(self):
         for name in ("primal", "dual"):
-            m = np.array(getattr(self, name), dtype=np.float64, order="C")
+            m = _real(getattr(self, name)).copy()
             if m.shape != (self.ambient_dim, self.ambient_dim):
                 raise DimensionMismatch(f"{name} must be square of dim {self.ambient_dim}")
             m.setflags(write=False)
@@ -332,10 +340,9 @@ def dual_basis(a) -> BiorthogonalSystem:
     (i.e. A is too ill-conditioned for the duals to be trusted).
     """
     m = as_square(a)
-    inv = inverse(m)
-    gram_defect = float(np.abs(inv @ m - np.eye(m.shape[0])).max())
-    if gram_defect > BIORTHOGONALITY_TOL:
+    system = BiorthogonalSystem(ambient_dim=m.shape[0], primal=m.T, dual=inverse(m))
+    defect = system.biorthogonality_defect()
+    if defect > BIORTHOGONALITY_TOL:
         raise SingularMatrix(
-            f"biorthogonality defect {gram_defect:.3e} exceeds {BIORTHOGONALITY_TOL:.1e}"
-        )
-    return BiorthogonalSystem(ambient_dim=m.shape[0], primal=m.T, dual=inv)
+            f"biorthogonality defect {defect:.3e} exceeds {BIORTHOGONALITY_TOL:.1e}")
+    return system

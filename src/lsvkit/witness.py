@@ -29,6 +29,7 @@ from .ensembles import GAUSSIAN, Ensemble, SeedSpec, sample_vector
 from .errors import DegenerateGeometry, DimensionMismatch, InvalidDimension, SingularMatrix, as_int
 from .linalg import (
     OrthonormalBasis,
+    as_matrix,
     as_square,
     dist_to_subspace,
     leave_one_out_distances,
@@ -214,8 +215,8 @@ def independence_probe(fixed_columns, trials: int, master_seed: int,
     and counted in singular_skipped rather than redrawn, so the probe
     compares exactly the trials it was asked for.
     """
-    cols = np.asarray(fixed_columns, dtype=np.float64)
-    if cols.ndim != 2 or cols.shape[1] != cols.shape[0] - 1:
+    cols = as_matrix(fixed_columns)
+    if cols.shape[1] != cols.shape[0] - 1:
         raise DimensionMismatch(f"fixed_columns must be (n, n-1), got {cols.shape}")
     n = cols.shape[0]
     column = as_int("column", column, 0, n - 1, DimensionMismatch)

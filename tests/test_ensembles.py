@@ -1,5 +1,7 @@
 """Sampling layer: determinism, counter addressing, distribution moments."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -257,3 +259,14 @@ def test_declared_fourth_moments():
     assert STUDENT_T5.fourth_moment == 9.0
     assert not STUDENT_T5.subgaussian
     assert all(ENSEMBLES[k].subgaussian for k in ("gaussian", "rademacher", "uniform"))
+
+
+def test_scalar_stream_index_gives_the_list_key_without_a_warning():
+    # the mod-2**64 wraparound must not warn on numpy's 0-d scalar path
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        key = stream_keys(0, [5]).tobytes()
+        matrix = sample_matrices(GAUSSIAN, 2, 0, [5]).tobytes()
+        for stream in (5, np.uint64(5), np.array(5, dtype=np.uint64)):
+            assert stream_keys(0, stream).tobytes() == key
+            assert sample_matrices(GAUSSIAN, 2, 0, stream).tobytes() == matrix

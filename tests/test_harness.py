@@ -587,6 +587,19 @@ def test_fit_rejects_mixed_batches():
         fit_tail_model([_fake("lower", 0.1, 0.1, n=8), _fake("lower", 0.2, 0.2, n=16)])
 
 
+def test_fit_skips_infinite_thresholds():
+    # TailSweepConfig accepts K = inf; its row (p_hat 0 upper, 1 lower) carries no shape
+    for direction, ks in (("upper", (2.0, 3.0, 4.0)), ("lower", (0.5, 1.0))):
+        cfg = TailSweepConfig(GAUSSIAN, (8,), ks + (np.inf,), 500, 3, direction)
+        estimates = run_tail_sweep(cfg)
+        fit = fit_tail_model(estimates)
+        finite = fit_tail_model([e for e in estimates if e.k != np.inf])
+        assert fit.constant > 0.0 and fit.constant == finite.constant, direction
+        assert fit.thresholds.tolist() == list(ks)
+    with pytest.raises(InsufficientData):
+        fit_tail_model([_fake("lower", 0.5, 0.4), _fake("lower", np.inf, 1.0)])
+
+
 # ---- harness vs witness cross-check -----------------------------------------
 
 def test_witness_bound_holds_on_sweep_subsample():

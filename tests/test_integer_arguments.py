@@ -21,7 +21,14 @@ from lsvkit.ensembles import (
     uniform_stream,
 )
 from lsvkit.errors import DimensionMismatch, InvalidDimension, InvalidQuery, as_int
-from lsvkit.harness import TailSweepConfig, check_markov_sum_bound, map_trials, scaled_sn_samples
+from lsvkit.harness import (
+    TailSweepConfig,
+    check_markov_sum_bound,
+    distance_tail_experiment,
+    map_trials,
+    median_scaling_report,
+    scaled_sn_samples,
+)
 from lsvkit.linalg import orthonormalize
 from lsvkit.stats import wilson_interval
 from lsvkit.structure import LcdQuery, lcd_subspace_sampled, small_ball_estimate
@@ -159,3 +166,16 @@ def test_stream_lists_reach_the_last_uint64_stream():
     for streams in ([2**64], [-1], [[1, 2], [3]], np.array([-1]), np.array([1.0]), 1.5, None):
         with pytest.raises(ValueError, match="stream index"):
             stream_keys(7, streams)
+
+
+def test_reports_hold_python_ints():
+    # the reports keep n and trials as converted, like every other entry point
+    distance = _exact(distance_tail_experiment(GAUSSIAN, 3, 5, 0))
+    scaling = _exact(median_scaling_report(GAUSSIAN, [3, 4], 5, 0))
+    for kind in (np.int64, np.uint8):
+        assert _exact(distance_tail_experiment(GAUSSIAN, kind(3), kind(5), 0)) == distance, kind
+        assert _exact(median_scaling_report(GAUSSIAN, [kind(4), 3], kind(5), 0)) == scaling, kind
+    with pytest.raises(InvalidDimension, match=r"^n must be >= 2, got 1$"):
+        median_scaling_report(GAUSSIAN, [3, 1], 5, 0)
+    with pytest.raises(ValueError, match="^trials must be an integer"):
+        distance_tail_experiment(GAUSSIAN, 3, 2.5, 0)

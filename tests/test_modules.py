@@ -192,3 +192,25 @@ def test_only_as_int_coerces_integers():
              for path in sorted(Path(lsvkit.__file__).parent.glob("*.py"))}
     assert {name: refs for name, refs in found.items() if refs} == {
         "errors.py": [("as_int", "operator.index")]}
+
+
+def _float64_conversions(tree):
+    """Every np.asarray / np.array call that passes dtype=np.float64 (or float, "float64")."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("asarray", "array")):
+            for kw in node.keywords:
+                value = kw.value
+                if kw.arg == "dtype" and (
+                        getattr(value, "attr", None) == "float64"
+                        or getattr(value, "id", None) == "float"
+                        or getattr(value, "value", None) == "float64"):
+                    yield f"line {node.lineno}: np.{node.func.attr}(..., dtype=float64)"
+
+
+def test_only_linalg_converts_arrays_to_float64():
+    # one array conversion: every real array argument goes through linalg.as_vector/as_matrix
+    found = {path.name: list(_float64_conversions(ast.parse(path.read_text(encoding="utf-8"))))
+             for path in sorted(Path(lsvkit.__file__).parent.glob("*.py"))}
+    assert found.pop("linalg.py")
+    assert {name: refs for name, refs in found.items() if refs} == {}
