@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .ensembles import ENSEMBLES, GAUSSIAN, SeedSpec, get_ensemble, sample_array
-from .errors import InvalidQuery, LsvError, SingularMatrix
+from .errors import InvalidQuery, LsvError, SingularMatrix, as_int
 from .harness import (
     MAX_WORKERS,
     RESAMPLE_STRIDE,
@@ -83,9 +83,6 @@ _float_list = _checked(lambda text: [float(part) for part in text.split(",") if 
                        "one or more comma-separated finite reals")
 
 
-_ENSEMBLE_NAMES = sorted(ENSEMBLES)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lsvkit",
@@ -98,27 +95,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     tail = sub.add_parser("tail", allow_abbrev=False,
                           help="Monte Carlo tail sweep of s_n, CSV output")
-    tail.add_argument("--ensemble", choices=_ENSEMBLE_NAMES, required=True)
     tail.add_argument("--n", dest="n_values", metavar="N", type=_dim, action="append",
                       required=True, help="matrix dimension, repeatable")
     tail.add_argument("--k", dest="k_values", metavar="K", type=_nonneg_float, action="append",
                       required=True, help="threshold K (upper) or eps (lower), repeatable")
-    tail.add_argument("--trials", type=_trials, required=True)
-    tail.add_argument("--seed", type=_uint64, default=0)
     tail.add_argument("--direction", choices=("upper", "lower"), default="upper")
-    tail.add_argument("--workers", type=_workers, default=1)
-    tail.add_argument("--out", required=True, help="CSV output path")
 
     wit = sub.add_parser("witness", allow_abbrev=False,
                          help="per-trial witness-system audits, JSON output")
-    wit.add_argument("--ensemble", choices=_ENSEMBLE_NAMES, required=True)
     wit.add_argument("--n", type=_dim, required=True)
-    wit.add_argument("--trials", type=_trials, required=True)
-    wit.add_argument("--seed", type=_uint64, default=0)
     wit.add_argument("--column", type=_pos_int, default=1,
                      help="distinguished column, 1-based (default 1)")
-    wit.add_argument("--workers", type=_workers, default=1)
-    wit.add_argument("--out", required=True, help="JSON output path")
 
     lcd = sub.add_parser("lcd", allow_abbrev=False,
                          help="least common denominator search, JSON output")
@@ -130,23 +117,28 @@ def build_parser() -> argparse.ArgumentParser:
     lcd.add_argument("--n", type=_dim, help="ambient dimension (subspace mode)")
     lcd.add_argument("--samples", type=_pos_int, default=100,
                      help="sampled directions in subspace mode (default 100)")
-    lcd.add_argument("--seed", type=_uint64, default=0)
     lcd.add_argument("--alpha", type=_pos_float, default=None,
                      help="admissibility cap (default sqrt(n)/2)")
     lcd.add_argument("--gamma", type=_gamma01, default=DEFAULT_GAMMA)
     lcd.add_argument("--theta-max", type=_pos_float, default=DEFAULT_THETA_MAX)
     lcd.add_argument("--grid-step", type=_pos_float, default=None)
-    lcd.add_argument("--out", required=True, help="JSON output path")
 
     sb = sub.add_parser("smallball", allow_abbrev=False,
                         help="Monte Carlo concentration estimate, JSON output")
     sb.add_argument("--weights", type=_float_list, required=True,
                     help="weight vector, comma-separated, normalized automatically")
-    sb.add_argument("--ensemble", choices=_ENSEMBLE_NAMES, required=True)
     sb.add_argument("--epsilon", type=_pos_float, required=True)
+    # structure.small_ball_estimate checks the trial budget, so a run over it exits 2 from main
     sb.add_argument("--trials", type=_pos_int, required=True)
-    sb.add_argument("--seed", type=_uint64, default=0)
-    sb.add_argument("--out", required=True, help="JSON output path")
+
+    for cmd in (tail, wit, sb):
+        cmd.add_argument("--ensemble", choices=sorted(ENSEMBLES), required=True)
+    for cmd in (tail, wit):
+        cmd.add_argument("--trials", type=_trials, required=True)
+        cmd.add_argument("--workers", type=_workers, default=1)
+    for cmd in (tail, wit, lcd, sb):
+        cmd.add_argument("--seed", type=_uint64, default=0)
+        cmd.add_argument("--out", required=True, help="data file path (CSV for tail, else JSON)")
 
     return parser
 
@@ -200,9 +192,7 @@ def _run_tail(params: dict) -> tuple[int, list, dict]:
 def _run_witness(params: dict) -> tuple[int, list, dict]:
     ens = get_ensemble(params["ensemble"])
     n = params["n"]
-    if not 1 <= params["column"] <= n:
-        raise InvalidQuery(f"--column must lie in [1, {n}], got {params['column']}")
-    column = params["column"] - 1
+    column = as_int("--column", params["column"], 1, n, InvalidQuery) - 1
 
     def audited(m: np.ndarray):
         try:
@@ -229,11 +219,9 @@ def _run_lcd(params: dict) -> tuple[int, dict, dict]:
         head = {"mode": "vector", "vector": vec.tolist()}
     else:
         n = params["n"]
-        dim = params["subspace_dim"]
         if n is None:
             raise InvalidQuery("--subspace-dim requires --n")
-        if not 1 <= dim <= n:
-            raise InvalidQuery(f"--subspace-dim must lie in [1, {n}], got {dim}")
+        dim = as_int("--subspace-dim", params["subspace_dim"], 1, n, InvalidQuery)
         seed = params["seed"]
         samples = params["samples"]
         head = {"mode": "subspace", "n": n, "subspace_dim": dim, "samples": samples,

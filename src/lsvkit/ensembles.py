@@ -47,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import InvalidDimension, as_int
 
@@ -171,12 +170,14 @@ _T5_SCALE = np.sqrt(3.0 / 5.0)  # sqrt((nu-2)/nu) for nu=5
 
 def _transform(ensemble: Ensemble, u: np.ndarray) -> np.ndarray:
     """Map uniforms (count = entries * draws_per_entry) to entry values."""
-    if ensemble.kind == "gaussian":
-        return ndtri(u)
     if ensemble.kind == "rademacher":
         return np.where(u < 0.5, -1.0, 1.0)
     if ensemble.kind == "uniform":
         return _SQRT3 * (2.0 * u - 1.0)
+    # loaded here so that runs which never draw a normal never import scipy.special
+    from scipy.special import ndtri
+    if ensemble.kind == "gaussian":
+        return ndtri(u)
     if ensemble.kind == "student_t5":
         z = ndtri(u.reshape(-1, 6))
         denom = np.sqrt(np.mean(z[:, 1:] ** 2, axis=1))

@@ -320,6 +320,8 @@ class BiorthogonalSystem:
             m = _real(getattr(self, name)).copy()
             if m.shape != (self.ambient_dim, self.ambient_dim):
                 raise DimensionMismatch(f"{name} must be square of dim {self.ambient_dim}")
+            if not np.all(np.isfinite(m)):
+                raise ValueError(f"{name} entries must be finite")
             m.setflags(write=False)
             object.__setattr__(self, name, m)
 

@@ -111,6 +111,23 @@ def test_replay_reproduces_every_command(tmp_path, argv):
     assert out.read_bytes() == original
 
 
+@pytest.mark.parametrize("argv, names", [
+    ("tail --ensemble gaussian --n 4 --k 1 --trials 5",
+     {"ensemble", "n_values", "k_values", "trials", "seed", "direction", "workers", "out"}),
+    ("witness --ensemble gaussian --n 4 --trials 5",
+     {"ensemble", "n", "trials", "seed", "column", "workers", "out"}),
+    ("lcd --vector 1,0",
+     {"vector", "subspace_dim", "n", "samples", "seed", "alpha", "gamma", "theta_max",
+      "grid_step", "out"}),
+    ("smallball --weights 1,1 --ensemble gaussian --epsilon 0.5 --trials 5",
+     {"weights", "ensemble", "epsilon", "trials", "seed", "out"}),
+], ids=["tail", "witness", "lcd", "smallball"])
+def test_each_command_records_its_parameter_names(argv, names):
+    # the keys of a manifest's `parameters`, before any runner edits them
+    args = vars(cli.build_parser().parse_args([*argv.split(), "--out", "data.out"]))
+    assert set(args) - {"replay", "command"} == names
+
+
 # golden digests: key order, float rendering and every value of each JSON
 # data file are frozen, so these files must never change for fixed flags
 @pytest.mark.parametrize("argv, sha256", [
@@ -357,6 +374,18 @@ def test_smallball_over_the_trial_budget_exits_2_before_drawing(tmp_path, monkey
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["witness", "--ensemble", "gaussian", "--n", "4", "--trials", "2", "--column", "7"],
+     "error: --column must be in [1, 4], got 7"),
+    (["lcd", "--subspace-dim", "5", "--n", "4"],
+     "error: --subspace-dim must be in [1, 4], got 5"),
+], ids=["column", "subspace-dim"])
+def test_range_errors_name_the_flag_and_its_bound(tmp_path, capsys, argv, message):
+    assert cli.main(argv + ["--out", str(tmp_path / "data.json")]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_runtime_failure_exits_1_and_leaves_nothing(tmp_path):
     cases = [
         # output directory does not exist
@@ -372,6 +401,33 @@ def test_runtime_failure_exits_1_and_leaves_nothing(tmp_path):
         assert "error:" in r.stderr, (argv, r.stderr)
         assert "Traceback" not in r.stderr, (argv, r.stderr)
     assert list(tmp_path.iterdir()) == []
+
+
+# ---- imports ---------------------------------------------------------------------
+
+_LAZY_NDTRI_SCRIPT = """
+import contextlib, io, json, sys
+from lsvkit import cli
+
+out = sys.argv[1]
+loaded = []
+with contextlib.redirect_stderr(io.StringIO()):
+    for argv in (["witness", "--ensemble=rademacher", "--n=4", "--trials=3"],
+                 ["tail", "--ensemble=uniform", "--n=4", "--k=2", "--trials=5"],
+                 ["witness", "--ensemble=rademacher", "--n=4", "--trials=2", "--column=7"],
+                 ["smallball", "--weights=1,1", "--ensemble=gaussian", "--epsilon=0.5",
+                  "--trials=10"]):
+        loaded.append((cli.main(argv + ["--out=" + out]), "scipy.special" in sys.modules))
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_special_loads_only_for_normal_draws(tmp_path):
+    # rademacher and uniform runs and usage errors never import ndtri's module
+    r = subprocess.run([sys.executable, "-c", _LAZY_NDTRI_SCRIPT, str(tmp_path / "data.out")],
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == [[0, False], [0, False], [2, False], [0, True]]
 
 
 # ---- fuzzed CLI contract -----------------------------------------------------

@@ -516,6 +516,16 @@ def test_biorthogonal_type_shape_validation():
         BiorthogonalSystem(ambient_dim=3, primal=np.eye(3), dual=np.eye(2))
 
 
+@pytest.mark.parametrize("name", ["primal", "dual"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_biorthogonal_system_rejects_non_finite_entries(name, bad):
+    # a NaN defect would pass every `defect > tol` gate
+    arrays = {"primal": np.eye(2), "dual": np.eye(2)}
+    arrays[name][1, 0] = bad
+    with pytest.raises(ValueError, match=f"{name} entries must be finite"):
+        BiorthogonalSystem(ambient_dim=2, **arrays)
+
+
 def test_biorthogonal_system_copies_its_inputs():
     # a C-contiguous float64 input must not be shared and frozen in place
     primal, dual = np.eye(3), np.eye(3)

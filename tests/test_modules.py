@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import lsvkit
@@ -18,6 +19,16 @@ def test_no_private_names_imported_across_modules():
             offenders += [f"{path.name}: {alias.name}" for alias in node.names
                           if alias.name.startswith("_") and not alias.name.startswith("__")]
     assert offenders == []
+
+
+def test_each_shared_cli_flag_declared_once():
+    # one declaration per flag; --n means three things and --trials has two types
+    tree = ast.parse((Path(lsvkit.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    flags = Counter(node.args[0].value for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and node.args
+                    and getattr(node.func, "attr", None) == "add_argument"
+                    and isinstance(node.args[0], ast.Constant))
+    assert {flag: count for flag, count in flags.items() if count > 1} == {"--n": 3, "--trials": 2}
 
 
 def _lu_references(tree):
