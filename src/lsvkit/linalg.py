@@ -1,8 +1,11 @@
 """Dense linear algebra with explicit failure contracts.
 
-Factorizations are delegated to LAPACK (via numpy/scipy); this module
-owns the validation, the singularity policy and the basis/duality types
-the rest of the library builds on.
+Factorizations are delegated to LAPACK: QR and SVD through numpy, LU
+through ``dgetrf``/``dgetrs`` bound from the OpenBLAS that scipy bundles
+(the copy ``scipy.linalg`` calls, so the bits are the same, without
+importing ``scipy.linalg``).  This module owns the validation, the
+singularity policy and the basis/duality types the rest of the library
+builds on.
 
 Singularity policy: a square matrix is treated as singular exactly when
 LU with partial pivoting produces a pivot smaller than
@@ -16,9 +19,10 @@ deletions as one stack, with no Python loop per deletion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-import scipy.linalg as sla
+import scipy
 
 from .errors import (
     DimensionMismatch,
@@ -35,8 +39,31 @@ BIORTHOGONALITY_TOL = 1e-8
 # column deletions at n = 60): qr holds about three times its input.
 LOO_QR_ENTRIES = 1 << 15
 
-# the float64 LAPACK routine scipy.linalg.lu_factor would look up on every call
-_getrf = sla.get_lapack_funcs("getrf", dtype=np.float64)
+
+def _bundled_lapack(**arities: int) -> list:
+    """The LAPACK routines named in arities, bound from scipy's bundled OpenBLAS.
+
+    Each takes its arity of arguments, every one an address (a Python
+    int), and returns nothing.  Symbols carry the bundle's scipy_ prefix,
+    or none.
+    """
+    libs = Path(scipy.__file__).parent.parent / "scipy.libs"
+    for path in sorted(libs.glob("*openblas*.so*")):
+        for prefix in ("scipy_", ""):
+            try:
+                lib = np.ctypeslib.load_library(path.name, libs)
+                routines = [lib[prefix + name] for name in arities]
+            except (OSError, AttributeError):
+                continue
+            for routine, arity in zip(routines, arities.values()):
+                routine.argtypes = [np.ctypeslib.c_intp] * arity
+                routine.restype = None
+            return routines
+    raise ImportError(f"no OpenBLAS in {libs} exports {', '.join(arities)}")
+
+
+# getrf(m, n, a, lda, ipiv, info) and getrs(trans, n, nrhs, a, lda, ipiv, b, ldb, info)
+_getrf, _getrs = _bundled_lapack(dgetrf_=6, dgetrs_=9)
 
 
 def _real(a) -> np.ndarray:
@@ -79,13 +106,36 @@ class LuFactorization:
     dim: int
     _factors: tuple
 
+    def __post_init__(self):
+        # solve hands these to getrs as raw addresses, so their layout is checked once here
+        lu, piv = self._factors
+        if not (lu.dtype == np.float64 and lu.shape == (self.dim, self.dim)
+                and lu.flags.f_contiguous and piv.dtype == np.int32 and piv.shape == (self.dim,)
+                and 0 <= piv.min(initial=0) and piv.max(initial=0) < self.dim):
+            raise ValueError("factors must be a Fortran-ordered float64 (dim, dim) lu "
+                             "and int32 pivots in [0, dim)")
+
     def solve(self, b) -> np.ndarray:
+        """x with A x = b for a (dim,) or (dim, k) rhs b, by getrs on a private copy."""
         rhs = _real(b)
-        if rhs.shape[:1] != (self.dim,):
-            raise DimensionMismatch(f"rhs has shape {rhs.shape}, expected leading dim {self.dim}")
+        if rhs.ndim not in (1, 2) or rhs.shape[0] != self.dim:
+            raise DimensionMismatch(f"rhs has shape {rhs.shape}, expected ({self.dim},) or "
+                                    f"({self.dim}, k)")
         if not np.all(np.isfinite(rhs)):
             raise ValueError("rhs entries must be finite")
-        return sla.lu_solve(self._factors, rhs, check_finite=False)
+        x = np.array(rhs, order="F")
+        if x.size == 0:
+            return x
+        lu, piv = self._factors
+        ipiv = piv + 1  # getrs counts rows from 1
+        trans = np.array(b"N")
+        n_nrhs_info = np.array([self.dim, x.size // self.dim, 0], dtype=np.int32)
+        n, nrhs, info = (n_nrhs_info.ctypes.data + 4 * j for j in range(3))
+        _getrs(trans.ctypes.data, n, nrhs, lu.ctypes.data, n, ipiv.ctypes.data, x.ctypes.data,
+               n, info)
+        if n_nrhs_info[2] < 0:
+            raise ValueError(f"illegal value in argument {-n_nrhs_info[2]} of getrs")
+        return x
 
     def inverse(self) -> np.ndarray:
         return self.solve(np.eye(self.dim))
@@ -104,15 +154,22 @@ def _pivoted_lu(mats: np.ndarray) -> tuple:
     largest column norm threshold[i], and fails the rule where singular[i].
     A matrix with no nonzero column is not factored, and an exact zero
     pivot (getrf's info > 0) falls under the rule.  getrf works in place in
-    a private transposed copy, never in the caller's array.
+    a private transposed copy, never in the caller's array: a C-ordered
+    float64 copy, so that matrix i is the Fortran-ordered work[i].T at
+    one address.
     """
     scales = _column_scales(mats)
-    work = mats.transpose(0, 2, 1).copy()
-    piv = np.zeros(mats.shape[:2], dtype=np.int32)
+    work = np.array(mats.transpose(0, 2, 1), dtype=np.float64, order="C")
+    piv = np.ones(mats.shape[:2], dtype=np.int32)
+    info = np.zeros(mats.shape[0], dtype=np.int32)
+    n = np.array(mats.shape[1], dtype=np.int32)
+    a, ipiv, status, dim = (x.ctypes.data for x in (work, piv, info, n))
+    a_step, ipiv_step, status_step = work.strides[0], piv.strides[0], info.strides[0]
     for i in np.flatnonzero(scales).tolist():
-        _, piv[i], info = _getrf(work[i].T, overwrite_a=1)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of getrf")
+        _getrf(dim, dim, a + i * a_step, dim, ipiv + i * ipiv_step, status + i * status_step)
+    if info.min(initial=0) < 0:
+        raise ValueError(f"illegal value in argument {-info.min()} of getrf")
+    piv -= 1  # scipy's 0-based pivots; a matrix left unfactored keeps zeros
     pivot = np.abs(work.diagonal(axis1=1, axis2=2)).min(axis=1, initial=np.inf)
     threshold = PIVOT_RTOL * scales
     singular = (scales == 0.0) | (pivot < threshold)
@@ -190,6 +247,8 @@ class OrthonormalBasis:
             )
         if v.shape[0] > self.ambient_dim:
             raise DimensionMismatch("more basis vectors than ambient dimensions")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("vectors entries must be finite: such rows are not orthonormal")
         defect = float(np.abs(v @ v.T - np.eye(v.shape[0])).max(initial=0.0))
         if not defect <= ORTHONORMALITY_TOL:
             raise ValueError(f"rows are not orthonormal (defect {defect:.3e})")

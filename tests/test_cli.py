@@ -430,6 +430,38 @@ def test_scipy_special_loads_only_for_normal_draws(tmp_path):
     assert json.loads(r.stdout) == [[0, False], [0, False], [2, False], [0, True]]
 
 
+_NO_SCIPY_LINALG_SCRIPT = """
+import contextlib, io, json, sys
+from lsvkit import cli, harness
+
+out = sys.argv[1]
+loaded = []
+with contextlib.redirect_stderr(io.StringIO()):
+    for argv in (["tail", "--ensemble=rademacher", "--n=4", "--k=2", "--trials=20"],
+                 ["tail", "--ensemble=gaussian", "--n=4", "--k=2", "--trials=5"],
+                 ["witness", "--ensemble=rademacher", "--n=4", "--trials=3"],
+                 ["lcd", "--subspace-dim=2", "--n=4", "--samples=3"],
+                 ["smallball", "--weights=1,1", "--ensemble=gaussian", "--epsilon=0.5",
+                  "--trials=10"],
+                 ["witness", "--ensemble=rademacher", "--n=4", "--trials=2", "--column=7"]):
+        loaded.append((cli.main(argv + ["--out=" + out]), "scipy.linalg" in sys.modules))
+print(json.dumps({"loaded": loaded, "pinned": harness.PINNED_BLAS}))
+"""
+
+
+def test_scipy_linalg_never_loads(tmp_path):
+    # LU goes through getrf/getrs bound from scipy's bundled OpenBLAS, which the pin covers
+    r = subprocess.run([sys.executable, "-c", _NO_SCIPY_LINALG_SCRIPT, str(tmp_path / "data.out")],
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
+    result = json.loads(r.stdout)
+    assert result["loaded"] == [[0, False]] * 5 + [[2, False]]
+    site = Path(np.__file__).resolve().parents[1]
+    owners = [next((libs for libs in ("numpy.libs", "scipy.libs") if (site / libs / name).exists()),
+                   None) for name in result["pinned"]]
+    assert sorted(owners, key=str) == ["numpy.libs", "scipy.libs"]
+
+
 # ---- fuzzed CLI contract -----------------------------------------------------
 # Every argv and every replayed manifest exits 0, 1 or 2, raises nothing
 # else, and leaves no file behind on a usage error.  Valid values are kept

@@ -230,6 +230,48 @@ def test_lu_factorization_solve_rejects_scalar_rhs():
             fac.solve(rhs)
 
 
+def test_lu_factorization_solve_rejects_rhs_of_three_dims():
+    # a leading batch axis would solve other systems, or fail with another library's error
+    cases = [(np.array([[2.0, 1.0], [1.0, 3.0]]), np.arange(8.0).reshape(2, 2, 2)),
+             (np.diag([2.0, 3.0, 4.0]), np.arange(12.0).reshape(3, 2, 2))]
+    for a, b in cases:
+        with pytest.raises(DimensionMismatch):
+            lu_factorization(a).solve(b)
+
+
+@pytest.mark.parametrize("ensemble", [RADEMACHER, GAUSSIAN], ids=lambda e: e.kind)
+@pytest.mark.parametrize("n", [2, 3, 16, 60])
+def test_solve_bytes_match_scipy_lu_solve(ensemble, n):
+    # the bound getrs of the bundled OpenBLAS gives scipy.linalg's bits, shape and dtype
+    stack = sample_matrices(ensemble, n, 7, np.arange(12, dtype=np.uint64))
+    regular = [m for m in stack if not _is_singular(m)]
+    assert regular
+    rhs = sample_array(ensemble, (n, 4), SeedSpec(master_seed=7, stream_index=99))
+    for m in regular:
+        fac = lu_factorization(m)
+        for b in (rhs[:, 0], rhs, rhs[:, :0]):
+            x = fac.solve(b)
+            ref = sla.lu_solve(sla.lu_factor(m), b)
+            assert (x.shape, x.dtype, x.tobytes()) == (ref.shape, ref.dtype, ref.tobytes())
+
+
+def test_lu_factors_that_getrs_cannot_read_are_refused():
+    # solve passes raw addresses, so a wrong shape, layout, dtype or pivot never reaches getrs
+    lu, piv = lu_factorization(np.array([[2.0, 1.0], [1.0, 3.0]]))._factors
+    bad = [(np.eye(3), piv), (np.ascontiguousarray(lu), piv), (lu.astype(np.float32), piv),
+           (lu, piv.astype(np.int64)), (lu, np.array([0, 2], dtype=np.int32)),
+           (lu, np.array([-1, 1], dtype=np.int32))]
+    for factors in bad:
+        with pytest.raises(ValueError, match="factors must be"):
+            linalg.LuFactorization(dim=2, _factors=factors)
+
+
+def test_missing_lapack_routine_is_an_import_error():
+    # no fallback route: a bundle without the symbols names the directory it searched
+    with pytest.raises(ImportError, match=r"scipy\.libs exports no_such_routine_"):
+        linalg._bundled_lapack(no_such_routine_=1)
+
+
 def test_lu_factorization_reuse():
     a = _matrix(12)
     fac = lu_factorization(a)
@@ -448,6 +490,17 @@ def test_basis_type_rejects_non_finite_rows():
         with pytest.raises(ValueError, match="not orthonormal"):
             OrthonormalBasis(ambient_dim=2, vectors=np.array([row]))
     assert OrthonormalBasis(ambient_dim=2, vectors=np.empty((0, 2))).size == 0
+
+
+def test_basis_type_names_non_finite_entries():
+    # checked before the gram, so no "defect nan" and no RuntimeWarning from the matmul
+    for bad in (np.inf, np.nan):
+        v = np.eye(3)[:2]
+        v[0, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="vectors entries must be finite"):
+                OrthonormalBasis(ambient_dim=3, vectors=v)
 
 
 def test_project_dimension_mismatch():
