@@ -143,6 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main parses with this one parser; parse_args leaves it unchanged
+_PARSER = build_parser()
+
+
 # ---- serialization helpers ----------------------------------------------
 
 def _g10(obj):
@@ -346,7 +350,7 @@ def _replay_argv(command: str, params: dict) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _PARSER
     args = parser.parse_args(argv)
     if args.replay is not None:
         if args.command is not None:

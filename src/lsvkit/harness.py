@@ -28,6 +28,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -52,8 +53,9 @@ RESAMPLE_STRIDE = 1 << 32
 _MAX_RESAMPLE_ROUNDS = 64
 MAX_WORKERS = 64
 # Matrix entries sampled per map_trials block: large enough to amortize
-# per-call overhead, small enough to keep peak memory flat.
-BLOCK_ENTRIES = 1 << 14
+# each block's fixed numpy and ctypes cost, small enough to keep peak
+# memory flat.
+BLOCK_ENTRIES = 1 << 15
 
 DIST_THRESHOLDS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
@@ -138,44 +140,42 @@ def map_trials(score, ensemble: Ensemble, n: int, trials: int, master_seed: int,
     of work: max(1, min(BLOCK_ENTRIES // n**2, ceil(trials / (4 * workers))))
     trials, drawn together with sample_matrices, so a stack stays within
     BLOCK_ENTRIES entries and each worker gets about four blocks.
-    score(stack) returns one value per matrix, None to reject that draw; a
-    block's rejected trials are redrawn together as a smaller block.  The
-    blocks run on a pool of workers threads, or in order for one worker or
-    block, and neither ever changes a value.  The call runs with the
-    bundled OpenBLAS copies (PINNED_BLAS) at one thread, restored after.
+    score(stack) returns one value per matrix, None to reject that draw.
+    Round r cuts every trial still pending (round 0: all) into blocks, so
+    the rejected draws of all blocks are redrawn together in round r + 1.
+    The blocks run on one pool of workers threads held across rounds, or
+    in order for one worker or block, and neither ever changes a value.
+    The call runs with the bundled OpenBLAS copies (PINNED_BLAS) at one
+    thread, restored after.
     """
     n = as_int("n", n, 2, error=InvalidDimension)
     trials = as_int("trials", trials, 1, RESAMPLE_STRIDE)  # the resample stream layout
     workers = as_int("workers", workers, 1, MAX_WORKERS)
     block = max(1, min(BLOCK_ENTRIES // (n * n), math.ceil(trials / (4 * workers))))
 
-    def run_block(t0: int):
-        pending = list(range(t0, min(t0 + block, trials)))
-        values = [None] * len(pending)
-        rejected = 0
+    def run_block(r: int, block_trials: list):
+        streams = np.array(block_trials, dtype=np.uint64) + np.uint64(r * RESAMPLE_STRIDE)
+        stack = sample_matrices(ensemble, n, master_seed, streams)
+        return zip(block_trials, score(stack), strict=True)
+
+    values = [None] * trials
+    pending = list(range(trials))
+    rejected = 0
+    with _one_blas_thread, ThreadPoolExecutor(workers) as pool:  # threads start on first use
         for r in range(_MAX_RESAMPLE_ROUNDS):
-            streams = np.array(pending, dtype=np.uint64) + np.uint64(r * RESAMPLE_STRIDE)
-            stack = sample_matrices(ensemble, n, master_seed, streams)
+            blocks = [pending[i:i + block] for i in range(0, len(pending), block)]
+            run = pool.map if workers > 1 and len(blocks) > 1 else map
             retry = []
-            for t, value in zip(pending, score(stack), strict=True):
+            for t, value in chain.from_iterable(run(run_block, repeat(r), blocks)):
                 if value is None:
                     retry.append(t)
                 else:
-                    values[t - t0] = value
+                    values[t] = value
             if not retry:
                 return values, rejected
             rejected += len(retry)
             pending = retry
-        raise RuntimeError(f"trial {pending[0]}: {_MAX_RESAMPLE_ROUNDS} degenerate draws in a row")
-
-    starts = range(0, trials, block)
-    with _one_blas_thread:
-        if workers == 1 or len(starts) == 1:
-            parts = list(map(run_block, starts))
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                parts = list(ex.map(run_block, starts))
-    return [v for values, _ in parts for v in values], sum(r for _, r in parts)
+    raise RuntimeError(f"trial {pending[0]}: {_MAX_RESAMPLE_ROUNDS} degenerate draws in a row")
 
 
 def scaled_sn_samples(ensemble: Ensemble, n: int, trials: int, master_seed: int,

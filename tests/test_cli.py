@@ -249,6 +249,21 @@ def test_lcd_manifest_counts_grid_points_evaluated(tmp_path):
     assert manifest["grid_points_evaluated"] == res.grid_points_evaluated > 0
 
 
+def test_main_reuses_one_parser(tmp_path, monkeypatch):
+    # the parser is built once per process, so neither a run nor its replay builds one
+    def no_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    out = tmp_path / "lcd.json"
+    assert cli.main(["lcd", "--vector", "1,0", "--alpha", "10", "--gamma", "0.5",
+                     "--theta-max", "100", "--out", str(out)]) == 0
+    first = out.read_bytes()
+    out.unlink()
+    assert cli.main(["--replay", f"{out}.manifest.json"]) == 0
+    assert out.read_bytes() == first
+
+
 # ---- smallball -------------------------------------------------------------
 
 def test_smallball_json_matches_library(tmp_path):

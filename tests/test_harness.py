@@ -1,6 +1,7 @@
 """Monte Carlo harness: determinism, tail sweeps, CSV schema, exact bound checks, fits."""
 
 import ctypes
+import math
 import os
 import sys
 import threading
@@ -108,6 +109,36 @@ def test_map_trials_order_and_resample_accounting(monkeypatch):
             monkeypatch.setattr(harness, "BLOCK_ENTRIES", entries)
             got = map_trials(_reject_negative_corner, RADEMACHER, 2, 37, 5, workers)
             assert got == (expected, rejected), (workers, entries)
+
+
+def test_map_trials_redraws_each_round_together(monkeypatch):
+    # round r cuts every trial still pending into blocks, across the blocks of round r - 1
+    draws = [first_accepted_draw(RADEMACHER, 2, 5, t, lambda m: _reject_negative_corner([m])[0])
+             for t in range(37)]
+    expected = ([v for v, _ in draws], sum(r for _, r in draws))
+    last = max(r for _, r in draws)
+    assert last >= 2  # two resample rounds at least, so rounds meet across blocks
+    pending = [[t for t, (_, rejected) in enumerate(draws) if rejected >= r]
+               for r in range(last + 1)]
+    for workers in (1, 3, 7):
+        for entries in (4, 16, 148):
+            monkeypatch.setattr(harness, "BLOCK_ENTRIES", entries)
+            block = max(1, min(entries // 4, math.ceil(37 / (4 * workers))))
+            sizes = []
+
+            def score(stack):
+                sizes.append(len(stack))
+                return _reject_negative_corner(stack)
+
+            got = map_trials(score, RADEMACHER, 2, 37, 5, workers)
+            assert got == expected, (workers, entries)
+            for trials_r in pending:  # rounds run one after another
+                cut = [len(trials_r[i:i + block]) for i in range(0, len(trials_r), block)]
+                assert sorted(sizes[:len(cut)]) == sorted(cut), (workers, entries)
+                del sizes[:len(cut)]
+            assert sizes == []
+            with pytest.raises(RuntimeError, match="trial 0: 64 degenerate"):
+                map_trials(lambda stack: [None] * len(stack), RADEMACHER, 2, 37, 5, workers)
 
 
 def test_map_trials_bounds():
@@ -271,8 +302,8 @@ def test_map_trials_without_blas_libraries(monkeypatch, workers):
 
 
 @pytest.mark.parametrize("n, trials, stacks", [
-    (60, 16, [2] * 8),              # witness: BLOCK_ENTRIES // 3600 = 4, 16 / (4 * 2) = 2
-    (16, 2000, [16] + [64] * 31),   # tail-small: BLOCK_ENTRIES // 256 = 64
+    (60, 16, [2] * 8),              # witness: BLOCK_ENTRIES // 3600 = 9, 16 / (4 * 2) = 2
+    (16, 2000, [80] + [128] * 15),  # tail-small: BLOCK_ENTRIES // 256 = 128
 ])
 def test_map_trials_block_partition(n, trials, stacks):
     sizes = []
