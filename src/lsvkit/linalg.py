@@ -12,12 +12,16 @@ LU with partial pivoting produces a pivot smaller than
 ``PIVOT_RTOL * max_j ||column_j||_2`` (or when it has a zero column).
 All routines that need invertibility apply this one test, through the
 one LAPACK ``getrf`` call in ``_pivoted_lu``, which tests a whole stack
-at once; the leave-one-out kernel likewise works each group of column
-deletions as one stack, with no Python loop per deletion.
+at once.  ``smallest_singular_values`` skips the LU only for a matrix
+whose computed s_n proves, by the error bounds in its docstring, that the
+test passes; every other matrix takes it.  The leave-one-out kernel works
+each group of column deletions as one stack, with no Python loop per
+deletion.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -203,11 +207,75 @@ def inverse(a) -> np.ndarray:
     return lu_factorization(a).inverse()
 
 
+def _pivot_cutoff(n: int) -> float:
+    """c such that a computed s_n above c * scale proves _pivoted_lu's rule passes.
+
+    The bound is derived in smallest_singular_values.
+    """
+    u = 2.0 ** -53
+    if n > 1024:  # 2.0 ** 1024 raises; the cutoff is far above 1 already
+        return math.inf
+    gamma = n * u / (1.0 - n * u)
+    return n * PIVOT_RTOL + 1e3 * (gamma * n * n * 2.0 ** (n - 1) + 10.0 * n ** 2.5 * u)
+
+
+def _clears_pivot_rule(s: np.ndarray, scales: np.ndarray, n: int) -> np.ndarray:
+    """True where a computed s_n proves that its matrix, of largest column norm scale, passes.
+
+    The rule is _pivoted_lu's.  A NaN s_n proves nothing, and neither
+    does any s_n at scale below 2**-511, which the derivation in
+    smallest_singular_values leaves out for underflow.
+    """
+    return (scales >= 2.0 ** -511) & (s > _pivot_cutoff(n) * scales)
+
+
+def _smallest_by_svd(mats: np.ndarray) -> np.ndarray:
+    # min is the last of LAPACK's descending values; initial= admits n == 0
+    return np.linalg.svd(mats, compute_uv=False).min(axis=1, initial=np.inf)
+
+
 def smallest_singular_values(stack) -> np.ndarray:
     """s_n of every matrix in a (b, n, n) stack; 0.0 where the pivot test flags it singular.
 
-    The stack is validated once, pivot-tested as a whole by _pivoted_lu,
-    and the survivors share one stacked SVD.
+    The stack is validated once and every matrix's s_n computed by one
+    stacked SVD.  Only the matrices whose computed s_n does not clear
+    _pivot_cutoff(n) * scale, scale being the largest column norm the
+    pivot rule uses, then take the pivot test (one _pivoted_lu call), as
+    do those with scale 0 or below 2**-511; a flagged one gets 0.0.  So
+    every value is the one the LU-first route gives, with getrf run only
+    where it can decide something.  If the stacked SVD raises
+    LinAlgError, the stack takes that route: the pivot test on all, then
+    the SVD of the matrices that pass.
+
+    Why a cleared matrix passes.  Write u = 2**-53, gamma_n = n u / (1 - n u)
+    and rho_n for the growth factor.  getrf's computed factors satisfy
+    P A + dA = L U with |dA| <= gamma_n |L| |U| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 9.3; a blocked LU
+    with conventional matrix products reorders the same operations, and
+    ibid. Sec. 13.1 gives it the same bound up to its constant).
+    Partial pivoting keeps |l_ij| <= 1, so ||L||_2 <= ||L||_F <= n.  It
+    also keeps rho_n <= 2**(n-1) (ibid. Sec. 9.3), and |a_ij| <= scale,
+    so |u_ij| <= 2**(n-1) scale and ||U||_F <= n 2**(n-1) scale.  Hence
+    ||dA||_2 <= gamma_n ||L||_F ||U||_F <= gamma_n n**2 2**(n-1) scale.
+    By Weyl's inequality sigma_min(L U) >= sigma_min(A) - ||dA||_2, and
+    sigma_min(L U) <= ||L||_2 sigma_min(U), so
+    sigma_min(U) >= (sigma_min(A) - ||dA||_2) / n.  Each pivot U_jj is
+    an eigenvalue of the triangular U, and no eigenvalue is smaller in
+    modulus than sigma_min(U), so |U_jj| >= sigma_min(U).
+    gesdd's computed s is the exact s_n of A + E with
+    ||E||_2 <= p(n) u ||A||_2 for a modest p (LAPACK Users' Guide,
+    3rd ed., Sec. 4.9; Demmel, Applied Numerical Linear Algebra,
+    Sec. 5.4), and ||A||_2 <= ||A||_F <= sqrt(n) scale, so
+    sigma_min(A) >= s - p(n) u sqrt(n) scale.  Together, every pivot is
+    at least the rounded threshold PIVOT_RTOL scale (1 + u) once
+    s > scale (n PIVOT_RTOL (1 + u) + gamma_n n**2 2**(n-1) + p(n) u sqrt(n)).
+    _pivot_cutoff takes p(n) = 10 n**2 and multiplies the rounding terms
+    by 1e3.  That margin, at least 999 n**3 u scale, also covers the
+    roundings of scale, of the threshold, of the growth bound and of the
+    cutoff test itself.  The bounds above assume no underflow; an
+    operation that underflows errs by at most 2**-1074 more, which in
+    either factorization adds far less than that margin once
+    scale >= 2**-511.
     """
     mats = _real(stack)
     if mats.ndim != 3:
@@ -216,11 +284,17 @@ def smallest_singular_values(stack) -> np.ndarray:
         raise NonSquare(f"expected square matrices, got a stack of shape {mats.shape}")
     if not np.all(np.isfinite(mats)):
         raise ValueError("matrix entries must be finite")
-    regular = ~_pivoted_lu(mats)[2]
-    out = np.zeros(mats.shape[0])
-    # min is the last of LAPACK's descending values; initial= admits n == 0
-    out[regular] = np.linalg.svd(mats[regular], compute_uv=False).min(axis=1, initial=np.inf)
-    return out
+    try:
+        s = _smallest_by_svd(mats)
+    except np.linalg.LinAlgError:
+        # gesdd failed, perhaps on a matrix the rule rejects: pivot-test first
+        regular = ~_pivoted_lu(mats)[2]
+        out = np.zeros(mats.shape[0])
+        out[regular] = _smallest_by_svd(mats[regular])
+        return out
+    doubtful = np.flatnonzero(~_clears_pivot_rule(s, _column_scales(mats), mats.shape[1]))
+    s[doubtful[_pivoted_lu(mats[doubtful])[2]]] = 0.0
+    return s
 
 
 def smallest_singular_value(a) -> float:

@@ -1,6 +1,7 @@
 """Monte Carlo harness: determinism, tail sweeps, CSV schema, exact bound checks, fits."""
 
 import ctypes
+import itertools
 import math
 import os
 import sys
@@ -15,7 +16,7 @@ from scipy.stats import binomtest
 
 from oracles import first_accepted_draw, half_normal_cdf, ks_statistic
 
-from lsvkit import harness
+from lsvkit import harness, linalg
 from lsvkit.ensembles import GAUSSIAN, RADEMACHER, SeedSpec, sample_matrix
 from lsvkit.errors import EnumerationTooLarge, InsufficientData, InvalidDimension
 from lsvkit.harness import (
@@ -73,6 +74,20 @@ def test_rademacher_small_n_resamples_singular_draws():
     values, singular = scaled_sn_samples(RADEMACHER, 2, 200, 5)
     assert singular > 0  # 2x2 sign matrices are singular half the time
     assert np.all(values > 0)  # every kept draw is invertible
+
+
+def test_lower_tail_sweep_factors_little_beyond_its_singular_draws(monkeypatch):
+    # each singular draw needs its LU; a regular one's computed s_n almost always proves it passes
+    calls = itertools.count()  # next() is one C call, so two workers count exactly
+    getrf = linalg._getrf
+
+    def counted(*args):
+        next(calls)
+        return getrf(*args)
+
+    monkeypatch.setattr(linalg, "_getrf", counted)
+    _, singular = scaled_sn_samples(RADEMACHER, 16, 2000, 9105, workers=2)
+    assert singular <= next(calls) < 200
 
 
 def test_sample_validation():

@@ -352,6 +352,102 @@ def test_stacked_pivot_rule_at_its_edge():
         smallest_singular_value(m) for m, flag in zip(stack, singular) if not flag]
 
 
+def _lu_first_route(stack):
+    """s_n by the pivot test on every matrix first, then one SVD of the survivors."""
+    out = np.zeros(len(stack))
+    regular = ~linalg._pivoted_lu(stack)[2]
+    out[regular] = np.linalg.svd(stack[regular], compute_uv=False).min(axis=1, initial=np.inf)
+    return out
+
+
+def _cleared_by_cutoff(stack):
+    """Where the computed s_n clears the cutoff, so smallest_singular_values skips the LU."""
+    s = np.linalg.svd(stack, compute_uv=False).min(axis=1, initial=np.inf)
+    return linalg._clears_pivot_rule(s, linalg._column_scales(stack), stack.shape[1])
+
+
+def _pivot_edge_matrices():
+    """The matrices of test_stacked_pivot_rule_at_its_edge."""
+    s = 3.0
+    threshold = linalg.PIVOT_RTOL * s
+    edge = [np.nextafter(threshold, 0.0), threshold, np.nextafter(threshold, 1.0)]
+    mats = [np.diag([s, s, p])[[2, 0, 1]] for p in edge]
+    mats += [np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]),
+             np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 1.0], [0.0, 0.0, 5.0]])]
+    mats += list(sample_matrices(GAUSSIAN, 3, 4, np.arange(4, dtype=np.uint64)))
+    return np.stack(mats)
+
+
+@pytest.mark.parametrize("kind", sorted(ENSEMBLES))
+def test_cutoff_clears_only_matrices_that_pass_the_pivot_rule(kind):
+    for n in (2, 3, 5, 8, 12, 16, 20, 22, 24):
+        stack = sample_matrices(ENSEMBLES[kind], n, 9103, np.arange(2000, dtype=np.uint64))
+        cleared = _cleared_by_cutoff(stack)
+        singular = linalg._pivoted_lu(stack)[2]
+        assert not singular[cleared].any(), n
+        assert smallest_singular_values(stack).tobytes() == _lu_first_route(stack).tobytes(), n
+        if n <= 16:  # here only the singular draws take the LU
+            assert np.array_equal(cleared, ~singular), n
+
+
+@pytest.mark.parametrize("factor", [1e-100, 1e100])
+def test_cutoff_is_sound_at_the_pivot_rules_edge_at_any_scale(factor):
+    stack = _pivot_edge_matrices() * factor
+    cleared = _cleared_by_cutoff(stack)
+    assert cleared.any() and not linalg._pivoted_lu(stack[cleared])[2].any()
+    assert smallest_singular_values(stack).tobytes() == _lu_first_route(stack).tobytes()
+
+
+@pytest.mark.parametrize("n, singular", [(2, 1), (3, 10), (4, 338), (5, 42976)])
+def test_every_sign_class_agrees_with_its_determinant(n, singular):
+    # every +-1 matrix is one with first row and column +1 times diagonal signs on
+    # both sides, so these 2**((n-1)**2) stand for all; singular counts are OEIS A046747
+    cells = (n - 1) ** 2
+    bits = (np.arange(2 ** cells)[:, None] >> np.arange(cells)) & 1
+    stack = np.ones((2 ** cells, n, n))
+    stack[:, 1:, 1:] = (1 - 2 * bits).reshape(-1, n - 1, n - 1)
+    zero = smallest_singular_values(stack) == 0.0
+    assert np.array_equal(zero, linalg._pivoted_lu(stack)[2])
+    assert np.array_equal(zero, np.rint(np.linalg.det(stack)) == 0.0)
+    assert zero.sum() == singular
+
+
+def test_pivot_cutoff_is_a_nondecreasing_float_for_every_n():
+    cutoffs = [linalg._pivot_cutoff(n) for n in range(10 ** 6 + 1)]
+    assert {type(c) for c in cutoffs} == {float}
+    values = np.array(cutoffs)
+    assert not np.isnan(values).any() and np.all(values[1:] >= values[:-1])
+
+
+def test_every_matrix_takes_the_pivot_test_where_the_cutoff_clears_none(monkeypatch):
+    stack = sample_matrices(GAUSSIAN, 64, 9104, np.arange(8, dtype=np.uint64))
+    calls = []
+    getrf = linalg._getrf
+
+    def counted(*args):
+        calls.append(args)
+        return getrf(*args)
+
+    monkeypatch.setattr(linalg, "_getrf", counted)
+    assert smallest_singular_values(stack).all()
+    assert len(calls) == 8
+
+
+def test_svd_failure_falls_back_to_the_lu_first_route(monkeypatch):
+    stack = sample_matrices(RADEMACHER, 5, 9106, np.arange(300, dtype=np.uint64))
+    expected = _lu_first_route(stack)
+    assert (expected == 0.0).any()
+    svd = np.linalg.svd
+
+    def fails_on_rejected(a, *args, **kwargs):
+        if linalg._pivoted_lu(a)[2].any():
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", fails_on_rejected)
+    assert smallest_singular_values(stack).tobytes() == expected.tobytes()
+
+
 def _every_layout(a):
     """Copies of a in C and Fortran order, its columns permuted, and a transposed view."""
     yield a.copy()
