@@ -179,11 +179,16 @@ def map_trials(score, ensemble: Ensemble, n: int, trials: int, master_seed: int,
 
 
 def scaled_sn_samples(ensemble: Ensemble, n: int, trials: int, master_seed: int,
-                      workers: int = 1) -> tuple[np.ndarray, int]:
-    """sqrt(n) * s_n over trials streams; returns (values by trial, singular_count)."""
+                      workers: int = 1, above: float | None = None) -> tuple[np.ndarray, int]:
+    """sqrt(n) * s_n over trials streams; returns (values by trial, singular_count).
 
+    Given above = K >= 0, a draw that linalg certifies to have
+    sqrt(n) * s_n > K gets +inf instead; every other value, and which
+    draws are resampled, stay the same.
+    """
     def score(stack: np.ndarray):
-        return [v if v > 0.0 else None for v in smallest_singular_values(stack)]
+        bound = None if above is None else above / math.sqrt(n)  # n is checked by now
+        return [v if v > 0.0 else None for v in smallest_singular_values(stack, bound)]
 
     values, singular = map_trials(score, ensemble, n, trials, master_seed, workers)
     return np.array(values) * math.sqrt(n), singular
@@ -238,13 +243,20 @@ def run_tail_sweep(cfg: TailSweepConfig) -> list[TailEstimate]:
 
     Shared samples make p_hat exactly monotone in the threshold, and the
     upper count at t plus the lower count at t equals trials (ties go to
-    the lower tail).
+    the lower tail).  A count needs only which side of each K a value
+    lies on, so from n = 8 on, where the limit law exp(-K**2 / 2 - K)
+    leaves at least a third of the draws above the largest finite K, the
+    draws certified above it skip the SVD and count as +inf; the counts
+    and singular_count are those of the plain values.
     """
+    ks = sorted(set(float(k) for k in cfg.k_values))
+    k_max = max((k for k in ks if k < math.inf), default=math.inf)
+    above = k_max if k_max * k_max / 2 + k_max <= math.log(3) else None  # k_max ** 2 can raise
     out: list[TailEstimate] = []
     for n in sorted(set(cfg.n_values)):
-        values, singular = scaled_sn_samples(cfg.ensemble, n, cfg.trials,
-                                             cfg.master_seed, cfg.workers)
-        for k in sorted(set(float(k) for k in cfg.k_values)):
+        values, singular = scaled_sn_samples(cfg.ensemble, n, cfg.trials, cfg.master_seed,
+                                             cfg.workers, above if n >= 8 else None)
+        for k in ks:
             if cfg.direction == "upper":
                 count = int(np.count_nonzero(values > k))
             else:

@@ -1,11 +1,11 @@
 """Dense linear algebra with explicit failure contracts.
 
 Factorizations are delegated to LAPACK: QR and SVD through numpy, LU
-through ``dgetrf``/``dgetrs`` bound from the OpenBLAS that scipy bundles
-(the copy ``scipy.linalg`` calls, so the bits are the same, without
-importing ``scipy.linalg``).  This module owns the validation, the
-singularity policy and the basis/duality types the rest of the library
-builds on.
+through ``dgetrf``/``dgetrs`` and Cholesky through ``dpotrf`` bound from
+the OpenBLAS that scipy bundles (the copy ``scipy.linalg`` calls, so the
+bits are the same, without importing ``scipy.linalg``).  This module owns
+the validation, the singularity policy and the basis/duality types the
+rest of the library builds on.
 
 Singularity policy: a square matrix is treated as singular exactly when
 LU with partial pivoting produces a pivot smaller than
@@ -14,9 +14,12 @@ All routines that need invertibility apply this one test, through the
 one LAPACK ``getrf`` call in ``_pivoted_lu``, which tests a whole stack
 at once.  ``smallest_singular_values`` skips the LU only for a matrix
 whose computed s_n proves, by the error bounds in its docstring, that the
-test passes; every other matrix takes it.  The leave-one-out kernel works
-each group of column deletions as one stack, with no Python loop per
-deletion.
+test passes; every other matrix takes it.  Asked for values above a
+threshold only, it also skips the SVD of every matrix whose shifted Gram
+matrix factors by Cholesky, which proves, by the bounds in
+``_certified_above``, that the SVD's value exceeds the threshold.  The
+leave-one-out kernel works each group of column deletions as one stack,
+with no Python loop per deletion.
 """
 
 from __future__ import annotations
@@ -66,8 +69,9 @@ def _bundled_lapack(**arities: int) -> list:
     raise ImportError(f"no OpenBLAS in {libs} exports {', '.join(arities)}")
 
 
-# getrf(m, n, a, lda, ipiv, info) and getrs(trans, n, nrhs, a, lda, ipiv, b, ldb, info)
-_getrf, _getrs = _bundled_lapack(dgetrf_=6, dgetrs_=9)
+# getrf(m, n, a, lda, ipiv, info), getrs(trans, n, nrhs, a, lda, ipiv, b, ldb, info)
+# and potrf(uplo, n, a, lda, info)
+_getrf, _getrs, _potrf = _bundled_lapack(dgetrf_=6, dgetrs_=9, dpotrf_=5)
 
 
 def _real(a) -> np.ndarray:
@@ -150,19 +154,19 @@ def _column_scales(mats: np.ndarray) -> np.ndarray:
     return np.linalg.norm(mats, axis=-2).max(axis=-1, initial=0.0)
 
 
-def _pivoted_lu(mats: np.ndarray) -> tuple:
+def _pivoted_lu(mats: np.ndarray, scales: np.ndarray) -> tuple:
     """getrf's LU of every matrix in a validated (b, n, n) stack, and the pivot rule.
 
-    Returns (lu, piv, singular, pivot, threshold): mats[i] has factors
-    (lu[i].T, piv[i]), smallest |U_jj| pivot[i] and PIVOT_RTOL times its
-    largest column norm threshold[i], and fails the rule where singular[i].
+    scales holds _column_scales(mats).  Returns (lu, piv, singular,
+    pivot, threshold): mats[i] has factors (lu[i].T, piv[i]), smallest
+    |U_jj| pivot[i] and PIVOT_RTOL times its largest column norm
+    threshold[i], and fails the rule where singular[i].
     A matrix with no nonzero column is not factored, and an exact zero
     pivot (getrf's info > 0) falls under the rule.  getrf works in place in
     a private transposed copy, never in the caller's array: a C-ordered
     float64 copy, so that matrix i is the Fortran-ordered work[i].T at
     one address.
     """
-    scales = _column_scales(mats)
     work = np.array(mats.transpose(0, 2, 1), dtype=np.float64, order="C")
     piv = np.ones(mats.shape[:2], dtype=np.int32)
     info = np.zeros(mats.shape[0], dtype=np.int32)
@@ -185,13 +189,13 @@ def lu_factorization(a) -> LuFactorization:
 
     Every routine here that needs invertibility goes through this one.
     """
-    m = as_square(a)
-    lu, piv, singular, pivot, threshold = _pivoted_lu(m[None])
+    m = as_square(a)[None]
+    lu, piv, singular, pivot, threshold = _pivoted_lu(m, _column_scales(m))
     if singular[0]:
         # no pivot is below 0.0, so a threshold of 0.0 fails only for lack of a nonzero column
         raise SingularMatrix("matrix has no nonzero column" if threshold[0] == 0.0 else
                              f"pivot {pivot[0]:.3e} below threshold {threshold[0]:.3e}")
-    return LuFactorization(dim=m.shape[0], _factors=(lu[0].T, piv[0]))
+    return LuFactorization(dim=m.shape[1], _factors=(lu[0].T, piv[0]))
 
 
 def lu_solve(a, b) -> np.ndarray:
@@ -234,7 +238,86 @@ def _smallest_by_svd(mats: np.ndarray) -> np.ndarray:
     return np.linalg.svd(mats, compute_uv=False).min(axis=1, initial=np.inf)
 
 
-def smallest_singular_values(stack) -> np.ndarray:
+def _certified_above(mats: np.ndarray, scales: np.ndarray, t: float) -> np.ndarray:
+    """True where a Cholesky of fl(A^T A) - c I proves that _smallest_by_svd(A) exceeds t.
+
+    scales holds _column_scales(mats) and t >= 0.  A certified matrix's
+    SVD value s exceeds t (1 + 2**-41), so a caller that takes
+    t = K / sqrt(n) and scales s by sqrt(n), in floating point both times,
+    gets a value above K.  Nothing is certified at scale below 2**-511 or
+    above 2**450, where the trace T of G = fl(A^T A) is not finite or
+    exceeds 2**900, where c is not below every diagonal entry of G, where
+    potrf (on the triangle of G - c I it reads) reports info != 0, or where
+    its factor has a diagonal entry that is not finite.
+
+    Why a certified matrix's value exceeds t.  Write u = 2**-53 and
+    gamma_k = k u / (1 - k u).
+    - The Gram rounding.  Each entry of G is an n-term inner product, so
+      |G - A^T A| <= gamma_n |A|^T |A| entrywise in any summation order
+      (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+      Sec. 3.5), and ||G - A^T A||_2 <= gamma_n ||A||_F**2.  The same
+      bound on the diagonal and on the sum T gives ||A||_F**2 <= 2 T, and
+      every g_ii <= 2 T.
+    - The shift.  Where c < g_ii, the computed H = fl(G - c I) is
+      G - c I + D with D diagonal and ||D||_2 <= u max g_ii <= 2 u T.
+    - The Cholesky bound.  A potrf that completes returns R with
+      R^T R = H + dH, |dH| <= gamma_{n+1} |R^T| |R| (ibid. Thm 10.3; the
+      blocked and recursive orders of OpenBLAS's potrf reorder the same
+      operations and have the same bound up to its constant).  Its
+      diagonal gives ||R||_F**2 <= tr H / (1 - gamma_{n+1}), and
+      R^T R is positive semidefinite, so
+      lambda_min(H) >= -gamma_{n+1} / (1 - gamma_{n+1}) tr H >= -6 gamma_{n+1} T.
+      A finite diagonal of R rules out an overflow on the way: an
+      infinite or NaN entry of R reaches the diagonal of its column.
+    Together, lambda_min(A^T A) >= c - 10 gamma_{n+1} T.
+    - The gesdd bound.  The SVD route's value s satisfies
+      s >= s_n(A) - 10 n**2 u ||A||_F, with its underflow treated, in
+      smallest_singular_values, and ||A||_F <= sqrt(2 T).
+    So s > t (1 + 2**-41) once
+    c >= (t (1 + 2**-41) + 10 n**2 u sqrt(2 T))**2 + 10 gamma_{n+1} T.
+    The shift used takes t (1 + 2**-40), a relative slack that also
+    absorbs the roundings of its own computation and leaves 2**-41 for
+    the caller's K / sqrt(n) and s * sqrt(n) (four roundings of at most u
+    each), and multiplies the rounding terms by a safety factor of 1e3.
+    That factor also covers the roundings of T, of the shift and of the
+    comparison with g_ii, each within a few u of c < 2 T.  The bounds
+    assume no underflow.  An underflowing product or quotient errs by at
+    most 2**-1075 more; those in G and in the updates of R add at most
+    2 n**2 2**-1075 in norm, which the shift's absolute term n**2 2**-1074
+    covers, and the divisions by R's diagonal, at most sqrt(2 T) each,
+    add at most n sqrt(2 T) 2**-1075, far below 10 gamma_{n+1} T since
+    T >= 2**-1023 once scale >= 2**-511.  The scale and trace limits keep
+    G, H and R finite.
+    """
+    n = mats.shape[1]
+    u = 2.0 ** -53
+    gamma = (n + 1) * u / (1.0 - (n + 1) * u)
+    kept = np.flatnonzero((scales >= 2.0 ** -511) & (scales <= 2.0 ** 450))
+    a = mats if len(kept) == len(mats) else mats[kept]
+    # C-ordered, so that diag is a view and potrf reads gram[i], as its Fortran-ordered
+    # transpose, at one address; either triangle obeys the bounds
+    gram = np.matmul(a.transpose(0, 2, 1), a, out=np.empty((len(kept), n, n)))
+    diag = gram.reshape(len(kept), n * n)[:, ::n + 1]
+    trace = diag.sum(axis=1)
+    margin = t * (1.0 + 2.0 ** -40) + 1e3 * 10.0 * n * n * u * np.sqrt(2.0 * trace)
+    shift = margin * margin + 1e3 * (10.0 * gamma * trace + n * n * 2.0 ** -1074)
+    tried = np.flatnonzero((trace <= 2.0 ** 900) & (shift < diag.min(axis=1, initial=np.inf)))
+    diag -= shift[:, None]
+    info = np.zeros(len(kept), dtype=np.int32)
+    uplo, dim = np.array(b"U"), np.array(n, dtype=np.int32)
+    h, status, up, d = (x.ctypes.data for x in (gram, info, uplo, dim))
+    h_step, status_step = gram.strides[0], info.strides[0]
+    for i in tried.tolist():
+        _potrf(up, d, h + i * h_step, d, status + i * status_step)
+    if info.min(initial=0) < 0:
+        raise ValueError(f"illegal value in argument {-info.min()} of potrf")
+    factored = tried[(info[tried] == 0) & np.isfinite(diag[tried]).all(axis=1)]
+    certified = np.zeros(len(mats), dtype=bool)
+    certified[kept[factored]] = True
+    return certified
+
+
+def smallest_singular_values(stack, above: float | None = None) -> np.ndarray:
     """s_n of every matrix in a (b, n, n) stack; 0.0 where the pivot test flags it singular.
 
     The stack is validated once and every matrix's s_n computed by one
@@ -246,6 +329,12 @@ def smallest_singular_values(stack) -> np.ndarray:
     where it can decide something.  If the stacked SVD raises
     LinAlgError, the stack takes that route: the pivot test on all, then
     the SVD of the matrices that pass.
+
+    Given above = t >= 0, a matrix that _certified_above proves to have
+    an SVD value above t skips the SVD and gets +inf, or 0.0 where the
+    pivot test flags it.  It takes that test unless t itself clears the
+    cutoff, so the same matrices get 0.0 as without above.  Every other
+    value is unchanged.
 
     Why a cleared matrix passes.  Write u = 2**-53, gamma_n = n u / (1 - n u)
     and rho_n for the growth factor.  getrf's computed factors satisfy
@@ -284,16 +373,27 @@ def smallest_singular_values(stack) -> np.ndarray:
         raise NonSquare(f"expected square matrices, got a stack of shape {mats.shape}")
     if not np.all(np.isfinite(mats)):
         raise ValueError("matrix entries must be finite")
+    if above is not None and not above >= 0:
+        raise ValueError(f"above must be nonnegative, got {above}")
+    scales = _column_scales(mats)
+    n = mats.shape[1]
+    s = np.empty(len(mats))
+    certified = np.zeros(len(mats), dtype=bool)
+    if above is not None:
+        certified = _certified_above(mats, scales, above)
+        s[certified] = above  # the SVD value it stands for is larger
     try:
-        s = _smallest_by_svd(mats)
+        s[~certified] = _smallest_by_svd(mats[~certified] if certified.any() else mats)
     except np.linalg.LinAlgError:
         # gesdd failed, perhaps on a matrix the rule rejects: pivot-test first
-        regular = ~_pivoted_lu(mats)[2]
-        out = np.zeros(mats.shape[0])
-        out[regular] = _smallest_by_svd(mats[regular])
-        return out
-    doubtful = np.flatnonzero(~_clears_pivot_rule(s, _column_scales(mats), mats.shape[1]))
-    s[doubtful[_pivoted_lu(mats[doubtful])[2]]] = 0.0
+        regular = ~_pivoted_lu(mats, scales)[2]
+        s[certified] = np.inf
+        s[~regular] = 0.0
+        s[regular & ~certified] = _smallest_by_svd(mats[regular & ~certified])
+        return s
+    doubtful = np.flatnonzero(~_clears_pivot_rule(s, scales, n))
+    s[certified] = np.inf
+    s[doubtful[_pivoted_lu(mats[doubtful], scales[doubtful])[2]]] = 0.0
     return s
 
 

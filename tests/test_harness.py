@@ -17,7 +17,7 @@ from scipy.stats import binomtest
 from oracles import first_accepted_draw, half_normal_cdf, ks_statistic
 
 from lsvkit import harness, linalg
-from lsvkit.ensembles import GAUSSIAN, RADEMACHER, SeedSpec, sample_matrix
+from lsvkit.ensembles import GAUSSIAN, RADEMACHER, UNIFORM, SeedSpec, sample_matrix
 from lsvkit.errors import EnumerationTooLarge, InsufficientData, InvalidDimension
 from lsvkit.harness import (
     DIST_THRESHOLDS,
@@ -404,6 +404,63 @@ def test_sweep_config_validation():
 
 def test_sweep_worker_count_leaves_estimates_identical():
     assert _sweep("upper", [0.5, 1.5], workers=1) == _sweep("upper", [0.5, 1.5], workers=4)
+
+
+def _estimates_from_values(cfg):
+    """cfg's estimates counted from scaled_sn_samples' plain values, one n at a time."""
+    out = []
+    for n in sorted(set(cfg.n_values)):
+        values, singular = scaled_sn_samples(cfg.ensemble, n, cfg.trials, cfg.master_seed)
+        for k in sorted(set(cfg.k_values)):
+            count = int(np.count_nonzero(values > k if cfg.direction == "upper" else values <= k))
+            out.append(TailEstimate(cfg.ensemble.kind, n, k, cfg.direction, cfg.trials, count,
+                                    count / cfg.trials, *wilson_interval(count, cfg.trials),
+                                    singular, cfg.master_seed))
+    return out
+
+
+def _counting(monkeypatch, name, size=lambda *args: 1):
+    """A list that gets size(args) for every call of linalg.<name>, which still runs."""
+    sizes = []  # list.append is one C call, so threads count exactly
+    routine = getattr(linalg, name)
+
+    def counted(*args):
+        sizes.append(size(*args))
+        return routine(*args)
+
+    monkeypatch.setattr(linalg, name, counted)
+    return sizes
+
+
+@pytest.mark.parametrize("ensemble, n, k_values, direction", [
+    (RADEMACHER, 16, (0.05, 0.1, 0.5), "lower"),
+    (GAUSSIAN, 50, (0.1, 0.2, math.inf), "lower"),
+    (UNIFORM, 8, (0.25, 0.5), "upper"),
+], ids=["rademacher-16-lower", "gaussian-50-lower", "uniform-8-upper"])
+def test_certified_sweeps_count_like_the_plain_values(monkeypatch, ensemble, n, k_values,
+                                                       direction):
+    expected = _estimates_from_values(TailSweepConfig(ensemble, (n,), k_values, 600, 9108,
+                                                      direction))
+    potrf = _counting(monkeypatch, "_potrf")
+    for workers in (1, 3):
+        cfg = TailSweepConfig(ensemble, (n,), k_values, 600, 9108, direction, workers)
+        assert run_tail_sweep(cfg) == expected, workers
+    assert potrf  # the sweeps took the certificate
+
+
+def test_certified_sweep_skips_most_svds(monkeypatch):
+    # about 2,100 matrices take the SVD without the certificate: every draw plus every redraw
+    svd = _counting(monkeypatch, "_smallest_by_svd", len)
+    run_tail_sweep(TailSweepConfig(RADEMACHER, (16,), (0.05, 0.1, 0.5), 2000, 9105, "lower", 2))
+    assert sum(svd) < 1100
+
+
+@pytest.mark.parametrize("n, k_values", [(16, (0.1, 2.0)), (6, (0.05, 0.5))])
+def test_sweeps_outside_the_gate_never_factor_a_gram_matrix(monkeypatch, n, k_values):
+    potrf = _counting(monkeypatch, "_potrf")
+    for direction in ("upper", "lower"):
+        run_tail_sweep(TailSweepConfig(GAUSSIAN, (n,), k_values, 300, 9108, direction))
+    assert potrf == []
 
 
 # ---- wilson_interval --------------------------------------------------------

@@ -1,5 +1,6 @@
 """Dense operations vs independent oracles (cofactor inverse, closed forms)."""
 
+import math
 import warnings
 
 import numpy as np
@@ -266,10 +267,28 @@ def test_lu_factors_that_getrs_cannot_read_are_refused():
             linalg.LuFactorization(dim=2, _factors=factors)
 
 
-def test_missing_lapack_routine_is_an_import_error():
+class _LibraryWithout:
+    """A loaded library that hides every symbol ending in name."""
+
+    def __init__(self, lib, name):
+        self._lib, self._name = lib, name
+
+    def __getitem__(self, symbol):
+        if symbol.endswith(self._name):
+            raise AttributeError(symbol)
+        return self._lib[symbol]
+
+
+def test_missing_lapack_routine_is_an_import_error(monkeypatch):
     # no fallback route: a bundle without the symbols names the directory it searched
     with pytest.raises(ImportError, match=r"scipy\.libs exports no_such_routine_"):
         linalg._bundled_lapack(no_such_routine_=1)
+    # a bundle with the LU routines but no Cholesky is refused as a whole
+    load = np.ctypeslib.load_library
+    monkeypatch.setattr(np.ctypeslib, "load_library",
+                        lambda *args: _LibraryWithout(load(*args), "dpotrf_"))
+    with pytest.raises(ImportError, match=r"scipy\.libs exports dgetrf_, dgetrs_, dpotrf_"):
+        linalg._bundled_lapack(dgetrf_=6, dgetrs_=9, dpotrf_=5)
 
 
 def test_lu_factorization_reuse():
@@ -352,10 +371,15 @@ def test_stacked_pivot_rule_at_its_edge():
         smallest_singular_value(m) for m, flag in zip(stack, singular) if not flag]
 
 
+def _flagged(stack):
+    """Where _pivoted_lu's rule flags a matrix of a validated stack singular."""
+    return linalg._pivoted_lu(stack, linalg._column_scales(stack))[2]
+
+
 def _lu_first_route(stack):
     """s_n by the pivot test on every matrix first, then one SVD of the survivors."""
     out = np.zeros(len(stack))
-    regular = ~linalg._pivoted_lu(stack)[2]
+    regular = ~_flagged(stack)
     out[regular] = np.linalg.svd(stack[regular], compute_uv=False).min(axis=1, initial=np.inf)
     return out
 
@@ -383,7 +407,7 @@ def test_cutoff_clears_only_matrices_that_pass_the_pivot_rule(kind):
     for n in (2, 3, 5, 8, 12, 16, 20, 22, 24):
         stack = sample_matrices(ENSEMBLES[kind], n, 9103, np.arange(2000, dtype=np.uint64))
         cleared = _cleared_by_cutoff(stack)
-        singular = linalg._pivoted_lu(stack)[2]
+        singular = _flagged(stack)
         assert not singular[cleared].any(), n
         assert smallest_singular_values(stack).tobytes() == _lu_first_route(stack).tobytes(), n
         if n <= 16:  # here only the singular draws take the LU
@@ -394,7 +418,7 @@ def test_cutoff_clears_only_matrices_that_pass_the_pivot_rule(kind):
 def test_cutoff_is_sound_at_the_pivot_rules_edge_at_any_scale(factor):
     stack = _pivot_edge_matrices() * factor
     cleared = _cleared_by_cutoff(stack)
-    assert cleared.any() and not linalg._pivoted_lu(stack[cleared])[2].any()
+    assert cleared.any() and not _flagged(stack[cleared]).any()
     assert smallest_singular_values(stack).tobytes() == _lu_first_route(stack).tobytes()
 
 
@@ -407,7 +431,7 @@ def test_every_sign_class_agrees_with_its_determinant(n, singular):
     stack = np.ones((2 ** cells, n, n))
     stack[:, 1:, 1:] = (1 - 2 * bits).reshape(-1, n - 1, n - 1)
     zero = smallest_singular_values(stack) == 0.0
-    assert np.array_equal(zero, linalg._pivoted_lu(stack)[2])
+    assert np.array_equal(zero, _flagged(stack))
     assert np.array_equal(zero, np.rint(np.linalg.det(stack)) == 0.0)
     assert zero.sum() == singular
 
@@ -440,12 +464,68 @@ def test_svd_failure_falls_back_to_the_lu_first_route(monkeypatch):
     svd = np.linalg.svd
 
     def fails_on_rejected(a, *args, **kwargs):
-        if linalg._pivoted_lu(a)[2].any():
+        if _flagged(a).any():
             raise np.linalg.LinAlgError("SVD did not converge")
         return svd(a, *args, **kwargs)
 
+    certified = smallest_singular_values(stack, 0.3)
+    assert (certified == np.inf).any()
     monkeypatch.setattr(np.linalg, "svd", fails_on_rejected)
     assert smallest_singular_values(stack).tobytes() == expected.tobytes()
+    assert smallest_singular_values(stack, 0.3).tobytes() == certified.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(ENSEMBLES))
+def test_certified_values_lie_above_the_threshold(kind):
+    for n in (8, 12, 16, 24, 28, 40, 64):
+        stack = sample_matrices(ENSEMBLES[kind], n, 9107, np.arange(1000, dtype=np.uint64))
+        plain = smallest_singular_values(stack)
+        for k in (0.0, 0.05, 0.5, 0.78):
+            values = smallest_singular_values(stack, k / math.sqrt(n))
+            certified = values == np.inf
+            assert certified.any(), (n, k)
+            assert np.all(plain[certified] * math.sqrt(n) > k), (n, k)
+            assert values[~certified].tobytes() == plain[~certified].tobytes(), (n, k)
+            assert np.array_equal(values == 0.0, plain == 0.0), (n, k)
+
+
+def _with_smallest_singular_value(n, s_min, seed):
+    """Q1 diag(sigma) Q2^T for random orthogonal Q1, Q2 and sigma in [1, 3] but one s_min."""
+    q1, q2 = (np.linalg.qr(sample_matrix(GAUSSIAN, n, SeedSpec(seed, j)))[0] for j in (0, 1))
+    sigma = np.append(np.linspace(1.0, 3.0, n - 1), s_min)
+    return (q1 * sigma) @ q2.T
+
+
+def _certified(stack, t):
+    return linalg._certified_above(stack, linalg._column_scales(stack), t)
+
+
+def test_certificate_is_sound_at_its_edge_at_any_scale():
+    for n in (8, 16, 64):
+        for k in (0.05, 0.5, 0.78):
+            t = k / math.sqrt(n)
+            below, above = (np.stack([_with_smallest_singular_value(n, t * rel, seed)
+                                      for seed in range(20)])
+                            for rel in (1.0 - 2.0 ** -30, 1.0 + 2.0 ** -10))
+            for factor in (1.0, 1e-100, 1e100):
+                assert not _certified(below * factor, t * factor).any(), (n, k, factor)
+                assert _certified(above * factor, t * factor).all(), (n, k, factor)
+
+
+def test_certificate_refuses_tiny_and_huge_scales():
+    stack = np.stack([_with_smallest_singular_value(8, 1.0, seed) for seed in range(20)])
+    assert _certified(stack, 0.0).all()
+    tiny = stack * (2.0 ** -520 / linalg._column_scales(stack)[:, None, None])
+    assert not _certified(tiny, 0.0).any()
+    huge = np.sign(stack) * 1e200
+    with np.errstate(over="ignore"):  # the column norms overflow
+        assert not _certified(huge, 0.0).any()
+
+
+def test_threshold_must_be_nonnegative():
+    for above in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="above must be nonnegative"):
+            smallest_singular_values(np.stack([np.eye(3)]), above)
 
 
 def _every_layout(a):
@@ -459,7 +539,11 @@ def _every_layout(a):
 def test_no_routine_writes_into_its_input():
     # the stacked LU factors a private copy; a transposed-stack view must not alias it
     stack = sample_matrices(GAUSSIAN, 5, 4, np.arange(4, dtype=np.uint64))
-    calls = [(smallest_singular_values, stack)] + [
+
+    def certified_above_tenth(a):
+        return smallest_singular_values(a, 0.1)
+
+    calls = [(smallest_singular_values, stack), (certified_above_tenth, stack)] + [
         (f, stack[1]) for f in (smallest_singular_value, lu_factorization, leave_one_out_distances)]
     for f, a in calls:
         for arg in _every_layout(a):
@@ -485,12 +569,14 @@ def test_stack_is_validated_before_any_factorization(monkeypatch):
         raise AssertionError("factorized before the stack was validated")
 
     monkeypatch.setattr(linalg, "_getrf", refuse)
-    with pytest.raises(NonSquare):
-        smallest_singular_values(np.ones((3, 2, 3)))
-    stack = np.stack([np.eye(3)] * 3)
-    stack[2, 1, 1] = np.nan
-    with pytest.raises(ValueError):
-        smallest_singular_values(stack)
+    monkeypatch.setattr(linalg, "_potrf", refuse)
+    for above in (None, 0.1):
+        with pytest.raises(NonSquare):
+            smallest_singular_values(np.ones((3, 2, 3)), above)
+        stack = np.stack([np.eye(3)] * 3)
+        stack[2, 1, 1] = np.nan
+        with pytest.raises(ValueError):
+            smallest_singular_values(stack, above)
 
 
 def test_smallest_singular_value_nonsquare():
