@@ -259,9 +259,10 @@ def _run_lcd(params: dict) -> tuple[int, dict, dict]:
 def _run_smallball(params: dict) -> tuple[int, dict, dict]:
     ens = get_ensemble(params["ensemble"])
     raw = as_vector(params["weights"])
-    norm = float(np.linalg.norm(raw))
-    if norm == 0.0:
-        raise InvalidQuery("--weights must be a nonzero vector")
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected just below
+        norm = float(np.linalg.norm(raw))
+    if not 0.0 < norm < np.inf:
+        raise InvalidQuery(f"--weights must be nonzero with a finite norm, got norm {norm}")
     weights = raw / norm
     seed = params["seed"]
     est = small_ball_estimate(weights, ens, params["epsilon"], params["trials"],

@@ -22,9 +22,7 @@ it; fit_tail_model recovers only the leading constant.
 
 from __future__ import annotations
 
-import ctypes
 import math
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -42,7 +40,13 @@ from .errors import (
     NumericallyDependent,
     as_int,
 )
-from .linalg import as_matrix, dist_to_subspace, orthonormalize, smallest_singular_values
+from .linalg import (
+    as_matrix,
+    bundled_openblas,
+    dist_to_subspace,
+    orthonormalize,
+    smallest_singular_values,
+)
 from .stats import wilson_interval
 
 # bench/layers.py traces these per-matrix names by rebinding them here
@@ -70,28 +74,12 @@ def fmt_g10(x: float) -> str:
     return format(float(x), ".10g")
 
 
-def _loaded_openblas() -> tuple:
-    """(file name, openblas_set_num_threads_local) of each OpenBLAS numpy and scipy bundle.
-
-    Only copies this process has already loaded are bound (RTLD_NOLOAD),
-    and a copy without the symbol is skipped.
-    """
-    found = []
-    for package in (np, scipy):
-        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
-        for path in sorted(libs.glob("*openblas*.so*")):
-            try:
-                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-                set_threads = lib.openblas_set_num_threads_local
-            except (OSError, AttributeError):
-                continue
-            set_threads.argtypes = [ctypes.c_int]
-            set_threads.restype = ctypes.c_int
-            found.append((path.name, set_threads))
-    return tuple(found)
-
-
-_OPENBLAS = _loaded_openblas()
+# (file name, openblas_set_num_threads_local) of each OpenBLAS numpy and
+# scipy bundle that exports the setter; ctypes' default int argument and
+# result match its C signature, int (int)
+_OPENBLAS = tuple((name, lib.openblas_set_num_threads_local)
+                  for name, lib in bundled_openblas(np) + bundled_openblas(scipy)
+                  if hasattr(lib, "openblas_set_num_threads_local"))
 # file names of the OpenBLAS copies map_trials runs at one thread per worker
 PINNED_BLAS = tuple(name for name, _ in _OPENBLAS)
 

@@ -47,6 +47,17 @@ BIORTHOGONALITY_TOL = 1e-8
 LOO_QR_ENTRIES = 1 << 15
 
 
+def bundled_openblas(package) -> list:
+    """(file name, library) of each OpenBLAS in numpy's or scipy's bundle of shared libraries.
+
+    Each is loaded through np.ctypeslib.load_library, which returns
+    ctypes.cdll's one cached library per path.
+    """
+    libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+    return [(path.name, np.ctypeslib.load_library(path.name, libs))
+            for path in sorted(libs.glob("*openblas*.so*"))]
+
+
 def _bundled_lapack(**arities: int) -> list:
     """The LAPACK routines named in arities, bound from scipy's bundled OpenBLAS.
 
@@ -54,19 +65,17 @@ def _bundled_lapack(**arities: int) -> list:
     int), and returns nothing.  Symbols carry the bundle's scipy_ prefix,
     or none.
     """
-    libs = Path(scipy.__file__).parent.parent / "scipy.libs"
-    for path in sorted(libs.glob("*openblas*.so*")):
+    for _, lib in bundled_openblas(scipy):
         for prefix in ("scipy_", ""):
             try:
-                lib = np.ctypeslib.load_library(path.name, libs)
                 routines = [lib[prefix + name] for name in arities]
-            except (OSError, AttributeError):
+            except AttributeError:
                 continue
             for routine, arity in zip(routines, arities.values()):
                 routine.argtypes = [np.ctypeslib.c_intp] * arity
                 routine.restype = None
             return routines
-    raise ImportError(f"no OpenBLAS in {libs} exports {', '.join(arities)}")
+    raise ImportError(f"no OpenBLAS in scipy.libs exports {', '.join(arities)}")
 
 
 # getrf(m, n, a, lda, ipiv, info), getrs(trans, n, nrhs, a, lda, ipiv, b, ldb, info)

@@ -9,6 +9,7 @@ failure points at a real disagreement, not a shared bug.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -92,6 +93,46 @@ def rademacher_sum_distribution(weights: np.ndarray) -> tuple[np.ndarray, np.nda
 def rademacher_small_ball_exact(weights: np.ndarray, epsilon: float) -> float:
     sums, probs = rademacher_sum_distribution(weights)
     return float(probs[np.abs(sums) <= epsilon].sum())
+
+
+def rademacher_sn_law(n: int) -> tuple[np.ndarray, np.ndarray, Fraction]:
+    """Exact law of sqrt(n) * s_n for an n x n Rademacher matrix, n <= 5.
+
+    Returns (atoms of sqrt(n) * s_n given a nonsingular matrix, their
+    probabilities, singular fraction q).  Every +-1 matrix is one with
+    first row and column +1 times diagonal sign matrices on both sides,
+    which keep its singular values, so those 2**((n-1)**2) stand for all,
+    equally likely.  They are grouped by the characteristic polynomial of
+    A^T A, computed in integers (Faddeev-LeVerrier): a matrix is singular
+    exactly when the constant term det(A)**2 is 0, and a group's s_n**2 is
+    the smallest eigenvalue of one member's A^T A.
+    """
+    if not 2 <= n <= 5:
+        raise ValueError("enumeration limited to 2 <= n <= 5")
+    cells = (n - 1) ** 2
+    bits = (np.arange(2 ** cells)[:, None] >> np.arange(cells)) & 1
+    a = np.ones((2 ** cells, n, n), dtype=np.int64)
+    a[:, 1:, 1:] = (1 - 2 * bits).reshape(-1, n - 1, n - 1)
+    gram = np.swapaxes(a, 1, 2) @ a
+    # m_k = G m_{k-1} + c_{k-1} I and c_k = -tr(G m_k) / k, with c_0 = 1
+    coeffs = [np.ones(len(a), dtype=np.int64)]
+    m = np.zeros_like(gram)
+    for k in range(1, n + 1):
+        m = gram @ m + coeffs[-1][:, None, None] * np.eye(n, dtype=np.int64)
+        trace = np.trace(gram @ m, axis1=1, axis2=2)
+        assert not (trace % k).any()
+        coeffs.append(-(trace // k))
+    polys, first, counts = np.unique(np.stack(coeffs, axis=1), axis=0,
+                                     return_index=True, return_counts=True)
+    regular = polys[:, -1] != 0
+    q = Fraction(int(counts[~regular].sum()), len(a))
+    values = np.sqrt(n * np.linalg.eigvalsh(gram[first[regular]].astype(np.float64))[:, 0])
+    # polynomials that share their smallest root give one atom
+    order = np.argsort(values)
+    values, weights = values[order], counts[regular][order]
+    new = np.concatenate(([True], np.diff(values) > 1e-12 * values[1:]))
+    probs = np.add.reduceat(weights, np.flatnonzero(new)) / weights.sum()
+    return values[new], probs, q
 
 
 def half_normal_cdf(x: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -386,6 +387,18 @@ def test_smallball_over_the_trial_budget_exits_2_before_drawing(tmp_path, monkey
                      "--out", str(tmp_path / "sb.json")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_smallball_overflowing_weights_exit_2_naming_the_flag(tmp_path, capsys):
+    # the CLI normalizes --weights itself, so only a zero or overflowing norm is refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["smallball", "--weights", "1e308,1e308", "--ensemble", "gaussian",
+                         "--epsilon", "0.1", "--trials", "10", "--out", str(tmp_path / "o.json")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --weights must be nonzero with a finite norm, got norm inf"]
     assert list(tmp_path.iterdir()) == []
 
 

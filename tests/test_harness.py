@@ -14,7 +14,7 @@ import pytest
 import scipy
 from scipy.stats import binomtest
 
-from oracles import first_accepted_draw, half_normal_cdf, ks_statistic
+from oracles import first_accepted_draw, half_normal_cdf, ks_statistic, rademacher_sn_law
 
 from lsvkit import harness, linalg
 from lsvkit.ensembles import GAUSSIAN, RADEMACHER, UNIFORM, SeedSpec, sample_matrix
@@ -74,6 +74,21 @@ def test_rademacher_small_n_resamples_singular_draws():
     values, singular = scaled_sn_samples(RADEMACHER, 2, 200, 5)
     assert singular > 0  # 2x2 sign matrices are singular half the time
     assert np.all(values > 0)  # every kept draw is invertible
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_rademacher_samples_follow_the_exact_law(n):
+    # the whole path (sampling, resampling, s_n and scaling) against an exact enumeration
+    atoms, probs, q = rademacher_sn_law(n)
+    trials = 20000
+    values, singular = scaled_sn_samples(RADEMACHER, n, trials, 2026, workers=2)
+    nearest = np.abs(values[:, None] - atoms).argmin(axis=1)
+    assert np.all(np.abs(values - atoms[nearest]) <= 1e-9 * atoms[nearest])
+    # each atom's count is binomial, and the rejected draws negative binomial
+    counts = np.bincount(nearest, minlength=len(atoms))
+    assert np.all(np.abs(counts - trials * probs) <= 5 * np.sqrt(trials * probs * (1 - probs)))
+    q = float(q)
+    assert abs(singular - trials * q / (1 - q)) <= 5 * math.sqrt(trials * q) / (1 - q)
 
 
 def test_lower_tail_sweep_factors_little_beyond_its_singular_draws(monkeypatch):

@@ -1,11 +1,16 @@
 """Module boundaries: modules share only public names."""
 
 import ast
+import ctypes
 import importlib
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+import scipy
+
 import lsvkit
+from lsvkit import harness, linalg
 
 
 def test_no_private_names_imported_across_modules():
@@ -84,6 +89,42 @@ def test_only_harness_sets_blas_threads():
              for path in sorted(Path(lsvkit.__file__).parent.glob("*.py"))}
     assert found.pop("harness.py")
     assert {name: refs for name, refs in found.items() if refs} == {}
+
+
+_LIBRARY_LOADERS = {"glob", "load_library", "CDLL", "cdll", "RTLD_NOLOAD"}
+
+
+def _library_loader_references(tree):
+    """Names, attributes and imports that find or load a shared library."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.rpartition(".")[2]
+        else:
+            continue
+        if name in _LIBRARY_LOADERS:
+            yield name
+
+
+def test_only_linalg_loads_bundled_libraries():
+    # one discovery of numpy's and scipy's OpenBLAS: linalg.bundled_openblas
+    found = {path.name: sorted(set(_library_loader_references(
+                 ast.parse(path.read_text(encoding="utf-8")))))
+             for path in sorted(Path(lsvkit.__file__).parent.glob("*.py"))}
+    assert found.pop("linalg.py")
+    assert {name: refs for name, refs in found.items() if refs} == {}
+    # map_trials pins the copies in that table that export the setter, LAPACK's among them
+    libs = linalg.bundled_openblas(np) + linalg.bundled_openblas(scipy)
+    assert harness.PINNED_BLAS == tuple(name for name, lib in libs
+                                        if hasattr(lib, "openblas_set_num_threads_local"))
+    getrf = ctypes.cast(linalg._getrf, ctypes.c_void_p).value
+    lapack = {name for name, lib in libs for symbol in ("scipy_dgetrf_", "dgetrf_")
+              if hasattr(lib, symbol)
+              and ctypes.cast(getattr(lib, symbol), ctypes.c_void_p).value == getrf}
+    assert lapack and lapack <= set(harness.PINNED_BLAS)
 
 
 def _sampler_calls(tree):
